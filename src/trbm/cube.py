@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, TextIO
 
 from .linalg import Matrix, nullspace, rank
@@ -254,14 +255,9 @@ def count_zonotope_facets(n: int) -> int:
 
 
 def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    from math import gcd
-    scale = 1
-    for x in vec:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
+    scale = lcm(*(x.denominator for x in vec))
     ints = [int(x * scale) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = gcd(*ints)
     ints = [x // g for x in ints]
     lead = next(x for x in ints if x != 0)
     if lead < 0:

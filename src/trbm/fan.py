@@ -26,7 +26,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .cube import all_vertices, cube_symmetries, vertex_coords
-from .linalg import Matrix, rank, solve
+from .linalg import Matrix, qtuple, rank, solve
 from .lp import LinearSystem, solve_feasibility
 from .tropical import TropicalPoint, tropical_membership, tropical_morphism
 
@@ -35,10 +35,6 @@ Q = Fraction
 N = 3
 CUBE = list(all_vertices(N))
 VOLUME_UNITS = 6  # cube volume in units of 1/6
-
-
-def _qtuple(xs) -> tuple[Fraction, ...]:
-    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in xs)
 
 
 @dataclass(frozen=True)
@@ -75,7 +71,7 @@ def regular_subdivision_from_lift(w, n: int = N) -> RegularSubdivision:
     """
     if isinstance(w, TropicalPoint):
         w = w.values
-    heights = _qtuple(w)
+    heights = qtuple(w)
     if len(heights) != 1 << n:
         raise ValueError("expected one height per vertex")
     verts = list(all_vertices(n))

@@ -1,22 +1,34 @@
 """Dense exact linear algebra over the rationals.
 
 Matrices are dense and immutable in spirit: every operation returns fresh
-data and never mutates its input.  Scalars are ``fractions.Fraction``, so
-all ranks, kernels and solutions are exact.  Two independent rank routines
-are provided (rational Gaussian elimination and fraction-free Bareiss
-elimination) so that one can serve as an oracle for the other.
+data and never mutates its input.  Scalars are ``int`` or
+``fractions.Fraction``, so all ranks, kernels and solutions are exact.
+:func:`rank`, :func:`nullspace` and :func:`solve` share one fraction-free
+elimination on integer rows (Bareiss 1968), which never forms a
+``Fraction`` until it returns a kernel vector or a solution.  Rational
+Gauss-Jordan (:func:`rref`) and fraction-free Bareiss rank
+(:func:`rank_bareiss`) share no code with it; they serve as its oracles.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 Q = Fraction
 
 
-def _to_q(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def _number(x):
+    """An exact scalar: ints stay ints, bools become ints, else Fraction."""
+    if type(x) is int or isinstance(x, Fraction):
+        return x
+    return int(x) if isinstance(x, int) else Fraction(x)
+
+
+def qtuple(xs) -> tuple[Fraction, ...]:
+    """The entries of ``xs`` as a tuple of Fractions."""
+    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in xs)
 
 
 class Matrix:
@@ -25,7 +37,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Iterable[Sequence]):
-        self.data = [[_to_q(x) for x in row] for row in data]
+        self.data = [[_number(x) for x in row] for row in data]
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.data else 0
         if any(len(row) != self.cols for row in self.data):
@@ -33,11 +45,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[Q(i == j) for j in range(n)] for i in range(n)])
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls([[Q(0)] * cols for _ in range(rows)])
+        return cls([[0] * cols for _ in range(rows)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -49,10 +61,10 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
-    def row(self, i: int) -> list[Fraction]:
+    def row(self, i: int) -> list:
         return list(self.data[i])
 
-    def column(self, j: int) -> list[Fraction]:
+    def column(self, j: int) -> list:
         return [self.data[i][j] for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
@@ -65,7 +77,7 @@ class Matrix:
         return Matrix([self.data[i] + other.data[i] for i in range(self.rows)])
 
     def mat_vec(self, v: Sequence) -> list[Fraction]:
-        vq = [_to_q(x) for x in v]
+        vq = [_number(x) for x in v]
         if len(vq) != self.cols:
             raise ValueError("dimension mismatch")
         return [sum((row[j] * vq[j] for j in range(self.cols)), Q(0))
@@ -73,8 +85,12 @@ class Matrix:
 
 
 def rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    a = [list(row) for row in m.data]
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Rational Gauss-Jordan elimination, kept as the oracle of the integer
+    core behind :func:`rank`, :func:`nullspace` and :func:`solve`.
+    """
+    a = [[Q(x) for x in row] for row in m.data]
     nrows, ncols = m.rows, m.cols
     pivots: list[int] = []
     r = 0
@@ -96,9 +112,60 @@ def rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     return a, pivots
 
 
+def _int_rows(data) -> list[list[int]]:
+    """Each row times the lcm of its denominators: same row space, ints."""
+    out = []
+    for row in data:
+        s = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (s // x.denominator) for x in row])
+    return out
+
+
+def _eliminate(a: list[list[int]], ncols: int,
+               jordan: bool) -> tuple[list[int], int]:
+    """Fraction-free elimination of the integer rows ``a`` in place.
+
+    Returns the pivot columns and the last pivot ``d``.  Pivots are
+    chosen as in :func:`rref`: the first nonzero entry at or below the
+    current row, swapped up.  Every update ``(piv * x - f * y) // prev``
+    divides exactly, because each entry is a minor of the input
+    (Sylvester's identity).  Without ``jordan`` only rows below each
+    pivot are cleared, which suffices for the rank.  With ``jordan`` the
+    rows above are cleared too; then every pivot ends equal to ``d`` and
+    the first ``len(pivots)`` rows divided by ``d`` are exactly the
+    reduced row echelon form.
+    """
+    nrows = len(a)
+    pivots: list[int] = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        prow = a[r]
+        piv = prow[c]
+        for i in range(0 if jordan else r + 1, nrows):
+            if i == r:
+                continue
+            row = a[i]
+            f = row[c]
+            if f:
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
+            elif piv != prev:
+                a[i] = [piv * x // prev for x in row]
+        pivots.append(c)
+        prev = piv
+        r += 1
+    return pivots, prev
+
+
 def rank(m: Matrix) -> int:
-    """Exact rank over Q by rational Gaussian elimination."""
-    return len(rref(m)[1])
+    """Exact rank over Q by fraction-free elimination."""
+    return len(_eliminate(_int_rows(m.data), m.cols, jordan=False)[0])
 
 
 def rank_bareiss(m: Matrix) -> int:
@@ -110,9 +177,7 @@ def rank_bareiss(m: Matrix) -> int:
     """
     a = []
     for row in m.data:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
+        lcm = math.lcm(*(x.denominator for x in row))
         a.append([int(x * lcm) for x in row])
     nrows, ncols = m.rows, m.cols
     prev = 1
@@ -134,22 +199,17 @@ def rank_bareiss(m: Matrix) -> int:
     return r
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 def nullspace(m: Matrix) -> list[list[Fraction]]:
     """Basis of the right kernel; dimension equals cols - rank."""
-    a, pivots = rref(m)
+    a = _int_rows(m.data)
+    pivots, d = _eliminate(a, m.cols, jordan=True)
     free = [c for c in range(m.cols) if c not in pivots]
     basis = []
     for fc in free:
         v = [Q(0)] * m.cols
         v[fc] = Q(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
+            v[pc] = Q(-a[r][fc], d)
         basis.append(v)
     return basis
 
@@ -159,11 +219,11 @@ def solve(m: Matrix, rhs: Sequence) -> Optional[list[Fraction]]:
 
     Free variables, if any, are set to zero.
     """
-    aug = Matrix([m.data[i] + [_to_q(rhs[i])] for i in range(m.rows)])
-    a, pivots = rref(aug)
+    a = _int_rows(m.data[i] + [_number(rhs[i])] for i in range(m.rows))
+    pivots, d = _eliminate(a, m.cols + 1, jordan=True)
     if m.cols in pivots:
         return None
     x = [Q(0)] * m.cols
     for r, pc in enumerate(pivots):
-        x[pc] = a[r][m.cols]
+        x[pc] = Q(a[r][m.cols], d)
     return x

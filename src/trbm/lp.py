@@ -23,16 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Optional, Sequence
 
-from .linalg import Matrix, nullspace
+from .linalg import Matrix, nullspace, qtuple
 
 Q = Fraction
-
-
-def _row(r: Sequence) -> tuple[Fraction, ...]:
-    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in r)
 
 
 @dataclass(frozen=True)
@@ -59,9 +55,9 @@ class LinearSystem:
     @classmethod
     def build(cls, num_vars: int, strict=(), weak=(), eq=()) -> "LinearSystem":
         return cls(num_vars,
-                   tuple(_row(r) for r in strict),
-                   tuple(_row(r) for r in weak),
-                   tuple(_row(r) for r in eq))
+                   tuple(qtuple(r) for r in strict),
+                   tuple(qtuple(r) for r in weak),
+                   tuple(qtuple(r) for r in eq))
 
     def evaluate(self, x: Sequence[Fraction]) -> bool:
         """Check a candidate point against every row, strict rows strictly."""
@@ -181,10 +177,7 @@ def _int_row(a: Sequence[Fraction]) -> list[int]:
 
 
 def _row_scale(a: Sequence[Fraction]) -> int:
-    s = 1
-    for x in a:
-        s = s * x.denominator // gcd(s, x.denominator)
-    return s
+    return lcm(*(x.denominator for x in a))
 
 
 def _simplex_max(cons: list[tuple[list[int], int]],

@@ -17,14 +17,10 @@ from itertools import combinations
 from random import Random
 from typing import Iterable, Sequence, TextIO
 
-from .linalg import Matrix, rank
+from .linalg import Matrix, qtuple, rank
 from .cube import all_vertices, vertex_coords, vertex_index
 
 Q = Fraction
-
-
-def _qtuple(xs) -> tuple[Fraction, ...]:
-    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in xs)
 
 
 @dataclass(frozen=True)
@@ -48,9 +44,9 @@ class ExpParams:
 
     @classmethod
     def build(cls, beta, gamma, omega) -> "ExpParams":
-        b = _qtuple(beta)
-        g = _qtuple(gamma)
-        w = tuple(_qtuple(row) for row in omega)
+        b = qtuple(beta)
+        g = qtuple(gamma)
+        w = tuple(qtuple(row) for row in omega)
         return cls(len(b), len(g), b, g, w)
 
 
@@ -71,7 +67,7 @@ class MixtureParams:
 
     @classmethod
     def build(cls, lam, delta, epsilon) -> "MixtureParams":
-        return cls(Q(lam), _qtuple(delta), _qtuple(epsilon))
+        return cls(Q(lam), qtuple(delta), qtuple(epsilon))
 
     @property
     def n(self) -> int:

@@ -18,17 +18,13 @@ from typing import Optional, Sequence, TextIO
 
 from .codes import code_to_slicings, hamming_code, shortened_hamming_code
 from .cube import (Slicing, all_vertices, enumerate_slicings, vertex_coords)
-from .linalg import Matrix, rank
+from .linalg import Matrix, qtuple, rank
 from .lp import LinearSystem, solve_feasibility
 from .parallel import parallel_map
 
 Q = Fraction
 
 EXHAUSTIVE_GUARD = 20_000
-
-
-def _qtuple(xs) -> tuple[Fraction, ...]:
-    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in xs)
 
 
 @dataclass(frozen=True)
@@ -50,9 +46,9 @@ class TropParams:
 
     @classmethod
     def build(cls, weights, visible_bias, hidden_bias) -> "TropParams":
-        w = tuple(_qtuple(row) for row in weights)
-        b = _qtuple(visible_bias)
-        c = _qtuple(hidden_bias)
+        w = tuple(qtuple(row) for row in weights)
+        b = qtuple(visible_bias)
+        c = qtuple(hidden_bias)
         return cls(len(b), len(c), w, b, c)
 
 
@@ -69,7 +65,7 @@ class TropicalPoint:
 
     @classmethod
     def build(cls, n: int, values) -> "TropicalPoint":
-        return cls(n, _qtuple(values))
+        return cls(n, qtuple(values))
 
     def normalized(self) -> tuple[Fraction, ...]:
         base = self.values[0]
@@ -149,19 +145,21 @@ def inference_function(params: TropParams) -> dict[int, int]:
     return out
 
 
-def slicing_matrix(n: int, slicings: Sequence[Slicing]) -> Matrix:
-    """The 2^n x (n + k(n+1)) block matrix (A | A_C1 | ... | A_Ck)."""
+def _slicing_rows(n: int, masks: Sequence[int]) -> list[list[int]]:
+    """Rows of (A | A_C1 | ... | A_Ck), slicing C_i given by its vertex mask."""
     rows = []
     for v in all_vertices(n):
         coords = vertex_coords(v, n)
         row = list(coords)
-        for s in slicings:
-            if v in s.positive:
-                row.extend((1,) + coords)
-            else:
-                row.extend([0] * (n + 1))
+        for mask in masks:
+            row.extend((1,) + coords if mask >> v & 1 else (0,) * (n + 1))
         rows.append(row)
-    return Matrix(rows)
+    return rows
+
+
+def slicing_matrix(n: int, slicings: Sequence[Slicing]) -> Matrix:
+    """The 2^n x (n + k(n+1)) block matrix (A | A_C1 | ... | A_Ck)."""
+    return Matrix(_slicing_rows(n, [s.mask for s in slicings]))
 
 
 @dataclass(frozen=True)
@@ -176,21 +174,10 @@ class DimensionResult:
 
 
 def _rank_chunk(args) -> tuple[int, int]:
-    n, slicing_data, combos = args
+    n, masks, combos = args
     best_rank, best_idx = 0, -1
     for idx in combos:
-        rows = []
-        for v in all_vertices(n):
-            coords = vertex_coords(v, n)
-            row = list(coords)
-            for i in idx:
-                mask = slicing_data[i]
-                if mask >> v & 1:
-                    row.extend((1,) + coords)
-                else:
-                    row.extend([0] * (n + 1))
-            rows.append(row)
-        r = rank(Matrix(rows))
+        r = rank(Matrix(_slicing_rows(n, [masks[i] for i in idx])))
         if r > best_rank:
             best_rank, best_idx = r, idx
     return best_rank, best_idx
@@ -238,18 +225,15 @@ def tropical_dimension(n: int, k: int, strategy: str = "exhaustive",
 
 
 def _search_exhaustive(n, k, slicings, threads):
-    target = min(n * k + n + k, 1 << n)
     combos = list(combinations(range(len(slicings)), k))
-    slicing_data = [s.mask for s in slicings]
+    masks = [s.mask for s in slicings]
     chunk = max(1, len(combos) // max(1, threads * 8))
-    batches = [(n, slicing_data, combos[i:i + chunk])
+    batches = [(n, masks, combos[i:i + chunk])
                for i in range(0, len(combos), chunk)]
     best_rank, best_idx = 0, None
     for r, idx in parallel_map(_rank_chunk, batches, threads):
         if r > best_rank:
             best_rank, best_idx = r, idx
-        if best_rank == target:
-            break
     return best_rank, tuple(slicings[i] for i in best_idx)
 
 
@@ -324,8 +308,7 @@ class MembershipResult:
         return TropParams.build([self.omega], self.visible_bias, [self.c])
 
 
-def tropical_membership(q: TropicalPoint,
-                        threads: int = 1) -> MembershipResult:
+def tropical_membership(q: TropicalPoint) -> MembershipResult:
     """Image membership for the one-hidden-node map, by one solve per slicing.
 
     q belongs to the image iff for some slicing C there are (b, omega, c)

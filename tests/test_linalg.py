@@ -92,3 +92,98 @@ def test_solve_inconsistent():
 def test_rref_pivots():
     _, pivots = rref(Matrix([[0, 1, 2], [0, 2, 4]]))
     assert pivots == [1]
+
+
+def _oracle_nullspace(m):
+    a, pivots = rref(m)
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [Q(0)] * m.cols
+        v[fc] = Q(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -a[r][fc]
+        basis.append(v)
+    return basis
+
+
+def _oracle_solve(m, rhs):
+    a, pivots = rref(Matrix([m.data[i] + [rhs[i]] for i in range(m.rows)]))
+    if m.cols in pivots:
+        return None
+    x = [Q(0)] * m.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = a[r][m.cols]
+    return x
+
+
+def _random_matrix(rng, rows, cols):
+    """Sparse rational entries, some rows and columns forced to zero, some
+    rows repeated as multiples of others so that kernels are common."""
+    def entry():
+        if rng.random() < 0.4:
+            return 0
+        if rng.random() < 0.5:
+            return rng.randint(-5, 5)
+        return Q(rng.randint(-20, 20), rng.randint(1, 9))
+    data = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and rng.random() < 0.3:
+        data[rng.randrange(rows)] = [0] * cols
+    if cols > 1 and rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in data:
+            row[j] = 0
+    if rows > 1 and rng.random() < 0.4:
+        i, k = rng.sample(range(rows), 2)
+        f = Q(rng.randint(-3, 3), rng.randint(1, 3))
+        data[k] = [f * x for x in data[i]]
+    return Matrix(data)
+
+
+def test_integer_core_matches_rref_oracle():
+    rng = Random(2024)
+    shapes = [(1, 1), (1, 6), (6, 1), (2, 9), (9, 2), (4, 4), (5, 7), (8, 5)]
+    seen = {"empty_kernel": 0, "inconsistent": 0, "consistent": 0}
+    for trial in range(600):
+        rows, cols = shapes[trial % len(shapes)]
+        m = _random_matrix(rng, rows, cols)
+        a, pivots = rref(m)
+        assert rank(m) == len(pivots)
+        kernel = nullspace(m)
+        assert kernel == _oracle_nullspace(m)
+        assert all(type(x) is Q for v in kernel for x in v)
+        seen["empty_kernel"] += not kernel
+        if rng.random() < 0.5:
+            rhs = [rng.choice([0, rng.randint(-4, 4),
+                               Q(rng.randint(-9, 9), rng.randint(1, 5))])
+                   for _ in range(rows)]
+        else:
+            rhs = m.mat_vec([rng.randint(-3, 3) for _ in range(cols)])
+        x = solve(m, rhs)
+        assert x == _oracle_solve(m, rhs)
+        if x is None:
+            seen["inconsistent"] += 1
+        else:
+            seen["consistent"] += 1
+            assert all(type(v) is Q for v in x)
+            assert m.mat_vec(x) == [Q(b) for b in rhs]
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def test_zero_and_empty_shapes():
+    zero = Matrix.zero(3, 4)
+    assert rank(zero) == 0
+    assert nullspace(zero) == _oracle_nullspace(zero)
+    assert solve(zero, [0, 0, 0]) == [Q(0)] * 4
+    assert solve(zero, [0, 1, 0]) is None
+    assert rank(Matrix([[0]])) == 0 and nullspace(Matrix([[0]])) == [[Q(1)]]
+    assert solve(Matrix([[Q(2, 3)]]), [Q(1, 2)]) == [Q(3, 4)]
+
+
+def test_matrix_keeps_ints_and_converts_other_scalars():
+    m = Matrix([[1, True, Q(1, 2)], [False, "3/4", 0.5]])
+    assert [[type(x) for x in row] for row in m.data] == [[int, int, Q],
+                                                        [int, Q, Q]]
+    assert m.data == [[1, 1, Q(1, 2)], [0, Q(3, 4), Q(1, 2)]]
+    assert all(type(x) is int for row in Matrix.identity(3).data
+               for x in row)
+    assert all(type(x) is int for row in cube_matrix(3).data for x in row)
