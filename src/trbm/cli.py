@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -57,10 +58,15 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _open_out(args):
+@contextmanager
+def _output(args):
+    """The ``--out`` file if one is given, else stdout; a file is closed
+    on exit, also when the handler raises."""
     if getattr(args, "out", None):
-        return open(args.out, "w")
-    return sys.stdout
+        with open(args.out, "w") as fh:
+            yield fh
+    else:
+        yield sys.stdout
 
 
 def _require(args, **fields):
@@ -70,11 +76,21 @@ def _require(args, **fields):
                 f"--{flag} is required for this operation")
 
 
-def _trop_params(path: str) -> TropParams:
+def _load_params(path: str, *keys: str) -> list:
+    """The values of ``keys`` in a JSON params file, in that order."""
     doc = _load_json(path)
-    return TropParams.build([[Q(x) for x in row] for row in doc["W"]],
-                            [Q(x) for x in doc["b"]],
-                            [Q(x) for x in doc["c"]])
+    if not isinstance(doc, dict):
+        raise ValueError(f"params file {path} must hold a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"params file {path} has no key {key!r}")
+    return [doc[key] for key in keys]
+
+
+def _trop_params(path: str) -> TropParams:
+    w, b, c = _load_params(path, "W", "b", "c")
+    return TropParams.build([[Q(x) for x in row] for row in w],
+                            [Q(x) for x in b], [Q(x) for x in c])
 
 
 def cmd_slicings(args) -> int:
@@ -93,10 +109,8 @@ def cmd_slicings(args) -> int:
                              "omega": q_list(s.omega)} for s in slicings]}
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
-        out = _open_out(args)
-        write_slicings(slicings, out)
-        if out is not sys.stdout:
-            out.close()
+        with _output(args) as out:
+            write_slicings(slicings, out)
     return 0
 
 
@@ -112,10 +126,8 @@ def cmd_phi(args) -> int:
         print(json.dumps({"n": point.n, "values": q_list(point.values)},
                          indent=2, sort_keys=True))
     else:
-        out = _open_out(args)
-        write_tropical_point(point, out)
-        if out is not sys.stdout:
-            out.close()
+        with _output(args) as out:
+            write_tropical_point(point, out)
     return 0
 
 
@@ -173,10 +185,8 @@ def cmd_codes(args) -> int:
                                         for w in code.sorted_words()]},
                              indent=2, sort_keys=True))
         else:
-            out = _open_out(args)
-            write_code(code, out)
-            if out is not sys.stdout:
-                out.close()
+            with _output(args) as out:
+                write_code(code, out)
         return 0
     if args.codes_op == "analyze":
         _require(args, code=args.code)
@@ -218,10 +228,8 @@ def cmd_codes(args) -> int:
         with open(args.code) as fh:
             code = read_code(fh)
         slicings = code_to_slicings(code)
-        out = _open_out(args)
-        write_slicings(slicings, out)
-        if out is not sys.stdout:
-            out.close()
+        with _output(args) as out:
+            write_slicings(slicings, out)
         return 0
     raise ValueError(f"unknown codes operation {args.codes_op!r}")
 
@@ -236,28 +244,25 @@ def _emit_distribution(dist: Distribution, args) -> None:
         print(json.dumps({"n": dist.n, "p": q_list(dist.p)},
                          indent=2, sort_keys=True))
     else:
-        out = _open_out(args)
-        write_distribution(dist, out)
-        if out is not sys.stdout:
-            out.close()
+        with _output(args) as out:
+            write_distribution(dist, out)
 
 
 def cmd_rbm(args) -> int:
     if args.rbm_op == "joint":
         _require(args, params=args.params)
-        doc = _load_json(args.params)
-        params = ExpParams.build([Q(x) for x in doc["beta"]],
-                                 [Q(x) for x in doc["gamma"]],
-                                 [[Q(x) for x in row]
-                                  for row in doc["omega"]])
+        beta, gamma, omega = _load_params(args.params,
+                                          "beta", "gamma", "omega")
+        params = ExpParams.build([Q(x) for x in beta], [Q(x) for x in gamma],
+                                 [[Q(x) for x in row] for row in omega])
         _emit_distribution(joint_distribution(params), args)
         return 0
     if args.rbm_op == "mixture":
         _require(args, params=args.params)
-        doc = _load_json(args.params)
-        params = MixtureParams.build(Q(doc["lambda"]),
-                                     [Q(x) for x in doc["delta"]],
-                                     [Q(x) for x in doc["epsilon"]])
+        lam, delta, epsilon = _load_params(args.params,
+                                           "lambda", "delta", "epsilon")
+        params = MixtureParams.build(Q(lam), [Q(x) for x in delta],
+                                     [Q(x) for x in epsilon])
         _emit_distribution(mixture_distribution(params), args)
         return 0
     if args.rbm_op == "hadamard":
@@ -313,12 +318,10 @@ def cmd_tropvar(args) -> int:
                  "minors": [poly_mod.format_polynomial(m).split("\n")
                             for m in minors]}, indent=2, sort_keys=True))
         else:
-            out = _open_out(args)
-            for m in minors:
-                poly_mod.write_polynomial(m, out)
-                out.write("\n")
-            if out is not sys.stdout:
-                out.close()
+            with _output(args) as out:
+                for m in minors:
+                    poly_mod.write_polynomial(m, out)
+                    out.write("\n")
         return 0
     if args.tropvar_op == "initial-form":
         _require(args, poly=args.poly, weights=args.weights)
@@ -369,11 +372,10 @@ def cmd_fan(args) -> int:
                                     for t in tris]},
                 indent=2, sort_keys=True))
         else:
-            out = _open_out(args)
-            for t in tris:
-                out.write("\n".join(fan_mod.triangulation_lines(t)) + "\n\n")
-            if out is not sys.stdout:
-                out.close()
+            with _output(args) as out:
+                for t in tris:
+                    out.write("\n".join(fan_mod.triangulation_lines(t))
+                              + "\n\n")
         return 0
     if args.fan_op == "sphere-fvector":
         fv = fan_mod.secondary_sphere_fvector()
@@ -404,13 +406,26 @@ def cmd_fan(args) -> int:
     raise ValueError(f"unknown fan operation {args.fan_op!r}")
 
 
+def _thread_count(text: str) -> int:
+    """``--threads`` value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit JSON on stdout")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized searches (default 0)")
-    common.add_argument("--threads", type=int, default=default_threads(),
+    common.add_argument("--threads", type=_thread_count,
+                        default=default_threads(),
                         help="worker count; results are identical for any "
                              "value")
     common.add_argument("--allow-long", action="store_true",

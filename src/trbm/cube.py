@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Optional, Sequence, TextIO
 
-from .linalg import Matrix, nullspace, rank
+from .linalg import Matrix, integer_kernel
 from .lp import LinearSystem, solve_feasibility
 from .parallel import parallel_map
 
@@ -244,19 +244,14 @@ def count_zonotope_facets(n: int) -> int:
     gens = [(1,) + vertex_coords(v, n) for v in all_vertices(n)]
     normals = set()
     for subset in combinations(gens, n):
-        m = Matrix(subset)
-        if rank(m) != n:
-            continue
-        kernel = nullspace(m)
-        if len(kernel) != 1:
-            continue
-        normals.add(_primitive(kernel[0]))
+        # n rows span a hyperplane exactly when their kernel is a line
+        kernel, _ = integer_kernel(Matrix(subset))
+        if len(kernel) == 1:
+            normals.add(_primitive(kernel[0]))
     return 2 * len(normals)
 
 
-def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    scale = lcm(*(x.denominator for x in vec))
-    ints = [int(x * scale) for x in vec]
+def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
     g = gcd(*ints)
     ints = [x // g for x in ints]
     lead = next(x for x in ints if x != 0)

@@ -3,9 +3,13 @@
 Matrices are dense and immutable in spirit: every operation returns fresh
 data and never mutates its input.  Scalars are ``int`` or
 ``fractions.Fraction``, so all ranks, kernels and solutions are exact.
-:func:`rank`, :func:`nullspace` and :func:`solve` share one fraction-free
-elimination on integer rows (Bareiss 1968), which never forms a
-``Fraction`` until it returns a kernel vector or a solution.  Rational
+:func:`rank`, :func:`integer_kernel`, :func:`nullspace` and :func:`solve`
+share one fraction-free elimination on integer rows (Bareiss 1968).
+:func:`integer_kernel` returns its kernel basis in integers, together with
+the positive divisor that :func:`nullspace` divides by; no ``Fraction`` is
+formed until a kernel vector or a solution is returned as rationals.
+:func:`_int_rows` is the one place where rational rows become integer
+rows, each scaled by the lcm of its denominators.  Rational
 Gauss-Jordan (:func:`rref`) and fraction-free Bareiss rank
 (:func:`rank_bareiss`) share no code with it; they serve as its oracles.
 """
@@ -199,19 +203,30 @@ def rank_bareiss(m: Matrix) -> int:
     return r
 
 
-def nullspace(m: Matrix) -> list[list[Fraction]]:
-    """Basis of the right kernel; dimension equals cols - rank."""
+def integer_kernel(m: Matrix) -> tuple[list[list[int]], int]:
+    """Integer kernel basis ``B`` and divisor ``d > 0``.
+
+    ``nullspace(m)`` is exactly ``B / d``: the core's kernel vectors
+    before division.  The last pivot can be negative; its sign moves
+    into ``B`` so that ``B`` points the same way as the kernel basis.
+    """
     a = _int_rows(m.data)
     pivots, d = _eliminate(a, m.cols, jordan=True)
-    free = [c for c in range(m.cols) if c not in pivots]
+    sign = 1 if d > 0 else -1
     basis = []
-    for fc in free:
-        v = [Q(0)] * m.cols
-        v[fc] = Q(1)
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = [0] * m.cols
+        v[fc] = sign * d
         for r, pc in enumerate(pivots):
-            v[pc] = Q(-a[r][fc], d)
+            v[pc] = -sign * a[r][fc]
         basis.append(v)
-    return basis
+    return basis, sign * d
+
+
+def nullspace(m: Matrix) -> list[list[Fraction]]:
+    """Basis of the right kernel; dimension equals cols - rank."""
+    basis, d = integer_kernel(m)
+    return [[Q(x, d) for x in v] for v in basis]
 
 
 def solve(m: Matrix, rhs: Sequence) -> Optional[list[Fraction]]:

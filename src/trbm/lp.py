@@ -7,7 +7,14 @@ decided exactly:
 
 * constants are treated as a homogenizing coordinate ``x0`` carrying its
   own strict positivity row, which makes every system a homogeneous cone;
-* equality rows are eliminated by exact Gaussian elimination;
+* every row is scaled to integers once (``linalg._int_rows``), and
+  equality rows are eliminated on their integer kernel: with ``B, d =
+  linalg.integer_kernel(eqs)`` the solutions are ``z = B y / d``, so the
+  other rows are projected onto ``B`` by integer dot products.  ``d`` is
+  positive (the last pivot's sign is moved into ``B``): the projected
+  rows are then positive multiples of the projections onto the rational
+  kernel basis, and Bland's rule takes the same pivots and returns the
+  same witnesses, where a negated basis would walk the mirrored program;
 * the remaining strict rows are tested by maximizing a margin variable
   ``t`` (strict rows become ``>= t``) inside a fixed bounding box, which is
   sound because cones are scale invariant; the system is feasible iff the
@@ -23,10 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
-from .linalg import Matrix, nullspace, qtuple
+from .linalg import Matrix, _int_rows, integer_kernel, qtuple
 
 Q = Fraction
 
@@ -77,6 +83,8 @@ def solve_feasibility(sys: LinearSystem) -> Optional[tuple[Fraction, ...]]:
     homogeneous = all(r[m] == 0 for r in sys.strict + sys.weak + sys.eq)
 
     if homogeneous:
+        if not sys.strict:
+            return tuple(Q(0) for _ in range(m))  # the apex of the cone
         dim = m
         strict = [r[:m] for r in sys.strict]
         weak = [r[:m] for r in sys.weak]
@@ -84,109 +92,86 @@ def solve_feasibility(sys: LinearSystem) -> Optional[tuple[Fraction, ...]]:
     else:
         # constants become the coordinate x0 > 0; witnesses are rescaled back
         dim = m + 1
-        strict = [r for r in sys.strict]
-        strict.append(tuple(Q(i == m) for i in range(dim)))
-        weak = list(sys.weak)
-        eqs = list(sys.eq)
+        strict = sys.strict + (tuple(int(i == m) for i in range(dim)),)
+        weak, eqs = sys.weak, sys.eq
 
     if eqs:
-        basis = nullspace(Matrix(eqs))
+        # z = B y / d with the columns of B spanning the equalities' kernel
+        basis, d = integer_kernel(Matrix(eqs))
         if not basis:
-            # z = 0 is the only solution of the equalities
-            if strict:
-                return None
-            x = tuple(Q(0) for _ in range(m))
-            return x if sys.evaluate(x) else None
-        # z = N y with N columns forming the kernel basis
-        ncols = len(basis)
-        reduce = lambda a: tuple(_dot(a, col) for col in basis)  # noqa: E731
+            return None  # z = 0 is the only solution
     else:
-        ncols = dim
-        reduce = lambda a: tuple(a)  # noqa: E731
+        basis, d = None, 1
 
-    red_strict = []
-    for a in strict:
-        ra = reduce(a)
-        if all(x == 0 for x in ra):
-            return None
-        red_strict.append(ra)
-    red_weak = []
-    for a in weak:
-        ra = reduce(a)
-        if any(x != 0 for x in ra):
-            red_weak.append(ra)
+    # a strict row a.z > 0 enters the margin program as a.z - t >= 0 and a
+    # weak row as a.z >= 0; scaling (a, -1) to integers gives each strict
+    # row its own lcm scale as its coefficient of t
+    rows = []
+    for row in _int_rows([a + (-1,) for a in strict]
+                         + [a + (0,) for a in weak]):
+        ra = _project(row[:-1], basis)
+        if any(ra):
+            rows.append((ra, -row[-1]))
+        elif row[-1]:
+            return None  # a strict row vanishes on every solution
+    ncols = dim if basis is None else len(basis)
+    solution = _margin_lp(rows, ncols, box=2 * (m + 1))
+    if solution is None:
+        return None
+    y, den = solution
 
-    if not red_strict:
-        y = [Q(0)] * ncols
-    else:
-        y = _margin_lp(red_strict, red_weak, ncols, box=2 * (m + 1))
-        if y is None:
-            return None
-
-    if eqs:
-        z = [sum((basis[j][i] * y[j] for j in range(ncols)), Q(0))
-             for i in range(dim)]
-    else:
-        z = list(y)
+    z = y if basis is None else [sum(col[i] * yj for col, yj in zip(basis, y))
+                                 for i in range(dim)]
     if homogeneous:
-        x = tuple(z)
+        x = tuple(Q(zi, d * den) for zi in z)
     else:
-        x0 = z[m]
-        if x0 <= 0:
-            return None
-        x = tuple(z[i] / x0 for i in range(m))
+        x = tuple(Q(z[i], z[m]) for i in range(m))
 
     if not sys.evaluate(x):
         raise AssertionError("feasibility witness failed re-validation")
     return x
 
 
-def _margin_lp(strict, weak, nvars, box: int) -> Optional[list[Fraction]]:
-    """Maximize t subject to strict rows >= t, weak rows >= 0, |y| <= box.
+def _project(row: list[int], basis: Optional[list[list[int]]]) -> list[int]:
+    """Coefficients of the integer row on the kernel basis, if any."""
+    if basis is None:
+        return row
+    return [sum(a * b for a, b in zip(row, col)) for col in basis]
 
-    Returns y with positive margin, or None when the exact optimum is
-    t = 0 (the zero point is always feasible, so the optimum is never
-    negative).
+
+def _margin_lp(rows, nvars, box: int):
+    """Maximize t subject to a.y >= s t for every integer row ``(a, s)``
+    (s > 0 for strict rows, s = 0 for weak ones) and |y| <= box.
+
+    Returns the numerators of y over their common positive denominator,
+    or None when the exact optimum is t = 0 (the zero point is always
+    feasible, so the optimum is never negative).
     """
     # structural variables: u_0..u_{n-1}, w_0..w_{n-1}, t  (y = u - w)
     nstruct = 2 * nvars + 1
-    tcol = 2 * nvars
-    cons: list[tuple[list[int], int]] = []
-    for a in strict:
-        row = _int_row(a)
-        cons.append(([-x for x in row] + row + [_row_scale(a)], 0))
-    for a in weak:
-        row = _int_row(a)
-        cons.append(([-x for x in row] + row + [0], 0))
+    cons = [([-x for x in a] + a + [s], 0) for a, s in rows]
     for j in range(2 * nvars):
         unit = [0] * nstruct
         unit[j] = 1
         cons.append((unit, box))
     objective = [0] * nstruct
-    objective[tcol] = 1
+    objective[-1] = 1
 
-    value, assignment = _simplex_max(cons, objective)
+    value, assignment, den = _simplex_max(cons, objective)
     if value <= 0:
         return None
-    return [assignment[j] - assignment[nvars + j] for j in range(nvars)]
-
-
-def _int_row(a: Sequence[Fraction]) -> list[int]:
-    s = _row_scale(a)
-    return [int(x * s) for x in a]
-
-
-def _row_scale(a: Sequence[Fraction]) -> int:
-    return lcm(*(x.denominator for x in a))
+    return [assignment[j] - assignment[nvars + j] for j in range(nvars)], den
 
 
 def _simplex_max(cons: list[tuple[list[int], int]],
-                 objective: list[int]) -> tuple[Fraction, list[Fraction]]:
+                 objective: list[int]) -> tuple[int, list[int], int]:
     """Maximize objective over A y <= b, y >= 0 with all b >= 0.
 
     The slack basis is feasible, so a single phase suffices.  The tableau
     is kept integral (Edmonds-style pivoting with a common denominator)
-    and Bland's rule guarantees termination under degeneracy.
+    and Bland's rule guarantees termination under degeneracy.  Returns
+    the optimum and the optimal y as numerators over the common
+    denominator, which is positive.
     """
     nstruct = len(objective)
     nrows = len(cons)
@@ -229,9 +214,8 @@ def _simplex_max(cons: list[tuple[list[int], int]],
         den = piv
         basis[leave] = enter
 
-    value = Q(-obj[width - 1], den)
-    assignment = [Q(0)] * nstruct
+    assignment = [0] * nstruct
     for i, bv in enumerate(basis):
         if bv < nstruct:
-            assignment[bv] = Q(tab[i][width - 1], den)
-    return value, assignment
+            assignment[bv] = tab[i][width - 1]
+    return -obj[width - 1], assignment, den

@@ -14,8 +14,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence, TextIO
 
-from .cube import vertex_index
-from .rbmstats import splits
+from .rbmstats import flattening_indices, splits
 from .tropical import TropicalPoint
 
 Q = Fraction
@@ -75,9 +74,9 @@ def flattening_minors(n: int, a_set: Iterable[int]) -> list[SparsePolynomial]:
     b = [j for j in range(1, n + 1) if j not in a]
     if not a or not b:
         raise ValueError("split must be proper and nonempty")
+    table = flattening_indices(n, a)
     if len(a) < 2 or len(b) < 2:
         return []
-    table = _symbolic_flattening(n, a, b)
     minors = []
     for rows in combinations(range(len(table)), 3):
         for cols in combinations(range(len(table[0])), 3):
@@ -91,23 +90,6 @@ def flattening_minors(n: int, a_set: Iterable[int]) -> list[SparsePolynomial]:
                 terms.append((sign, exps))
             minors.append(SparsePolynomial.build(n, terms))
     return minors
-
-
-def _symbolic_flattening(n, a, b) -> list[list[int]]:
-    table = []
-    for ra in range(1 << len(a)):
-        abits = [(ra >> (len(a) - 1 - i)) & 1 for i in range(len(a))]
-        row = []
-        for cb in range(1 << len(b)):
-            bbits = [(cb >> (len(b) - 1 - i)) & 1 for i in range(len(b))]
-            coords = [0] * n
-            for i, j in enumerate(a):
-                coords[j - 1] = abits[i]
-            for i, j in enumerate(b):
-                coords[j - 1] = bbits[i]
-            row.append(vertex_index(coords))
-        table.append(row)
-    return table
 
 
 def _perm_sign(perm) -> int:

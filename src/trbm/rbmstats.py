@@ -18,7 +18,7 @@ from random import Random
 from typing import Iterable, Sequence, TextIO
 
 from .linalg import Matrix, qtuple, rank
-from .cube import all_vertices, vertex_coords, vertex_index
+from .cube import all_vertices, vertex_coords
 
 Q = Fraction
 
@@ -203,32 +203,32 @@ def stack(parts: Sequence[ExpParams]) -> ExpParams:
     return ExpParams.build(beta, gamma, omega)
 
 
-def flattening(p: Distribution, a_set: Iterable[int]) -> Matrix:
-    """The 2^|A| x 2^|B| matrix of p along the split A | B of {1..n}.
+def flattening_indices(n: int, a: Sequence[int]) -> list[list[int]]:
+    """Vertex indices of the 2^|A| x 2^|B| flattening along A | B of {1..n}.
 
     Rows follow {0,1}^A lexicographically (first element of A most
     significant), columns likewise for the complement B.
     """
+    if any(j < 1 or j > n for j in a):
+        raise ValueError("split indices must lie in 1..n")
+    b = [j for j in range(1, n + 1) if j not in a]
+
+    def offsets(side):
+        # coordinate j carries the index bit 2^(n-j)
+        return [sum(1 << (n - j) for i, j in enumerate(side)
+                    if bits >> (len(side) - 1 - i) & 1)
+                for bits in range(1 << len(side))]
+    cols = offsets(b)
+    return [[ra + cb for cb in cols] for ra in offsets(a)]
+
+
+def flattening(p: Distribution, a_set: Iterable[int]) -> Matrix:
+    """The matrix of p along the split A | B (see flattening_indices)."""
     a = sorted(set(a_set))
     if not a or len(a) >= p.n:
         raise ValueError("split must be proper and nonempty")
-    if a[0] < 1 or a[-1] > p.n:
-        raise ValueError("split indices must lie in 1..n")
-    b = [j for j in range(1, p.n + 1) if j not in a]
-    rows = []
-    for ra in range(1 << len(a)):
-        abits = [(ra >> (len(a) - 1 - i)) & 1 for i in range(len(a))]
-        row = []
-        for cb in range(1 << len(b)):
-            bbits = [(cb >> (len(b) - 1 - i)) & 1 for i in range(len(b))]
-            coords = [0] * p.n
-            for i, j in enumerate(a):
-                coords[j - 1] = abits[i]
-            for i, j in enumerate(b):
-                coords[j - 1] = bbits[i]
-            row.append(p.p[vertex_index(coords)])
-        rows.append(row)
-    return Matrix(rows)
+    return Matrix([[p.p[v] for v in row]
+                   for row in flattening_indices(p.n, a)])
 
 
 def splits(n: int) -> list[tuple[int, ...]]:

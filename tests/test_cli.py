@@ -244,3 +244,39 @@ def test_threads_flag_is_output_neutral(capsys):
     code1, out1, _ = run(capsys, "slicings", "--n", "3", "--threads", "1")
     code2, out2, _ = run(capsys, "slicings", "--n", "3", "--threads", "2")
     assert code1 == code2 == 0 and out1 == out2
+
+
+PARAMS = {
+    "phi": {"W": [["1", "1"]], "b": ["0", "0"], "c": ["-3/2"]},
+    "joint": {"beta": ["1", "2"], "gamma": ["1"], "omega": [["1", "3"]]},
+    "mixture": {"lambda": "1/3", "delta": ["1/2", "1/4"],
+                "epsilon": ["1/3", "2/3"]},
+}
+
+
+@pytest.mark.parametrize("loader", sorted(PARAMS))
+def test_params_file_missing_key_exits_2(loader, tmp_path, capsys):
+    commands = {"phi": [("phi",), ("infer",)], "joint": [("rbm", "joint")],
+                "mixture": [("rbm", "mixture")]}[loader]
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(PARAMS[loader]))
+    for command in commands:
+        code, _, _ = run(capsys, *command, "--params", str(params))
+        assert code == 0
+    for key in PARAMS[loader]:
+        doc = {k: v for k, v in PARAMS[loader].items() if k != key}
+        params.write_text(json.dumps(doc))
+        for command in commands:
+            code, out, err = run(capsys, *command, "--params", str(params))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and f"'{key}'" in err
+            assert err.count("\n") == 1
+
+
+def test_threads_below_one_exit_2(capsys):
+    for value in ("0", "-3", "two"):
+        with pytest.raises(SystemExit) as info:
+            main(["slicings", "--n", "2", "--count", "--threads", value])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--threads" in err and "at least 1" in err

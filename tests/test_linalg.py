@@ -1,7 +1,8 @@
 from fractions import Fraction as Q
 from random import Random
 
-from trbm.linalg import Matrix, nullspace, rank, rank_bareiss, rref, solve
+from trbm.linalg import (Matrix, integer_kernel, nullspace, rank,
+                         rank_bareiss, rref, solve)
 from trbm.cube import all_vertices, vertex_coords
 
 
@@ -151,6 +152,9 @@ def test_integer_core_matches_rref_oracle():
         kernel = nullspace(m)
         assert kernel == _oracle_nullspace(m)
         assert all(type(x) is Q for v in kernel for x in v)
+        basis, d = integer_kernel(m)
+        assert d > 0 and basis == [[d * x for x in v] for v in kernel]
+        assert all(type(x) is int for v in basis for x in v)
         seen["empty_kernel"] += not kernel
         if rng.random() < 0.5:
             rhs = [rng.choice([0, rng.randint(-4, 4),

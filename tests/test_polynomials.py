@@ -19,6 +19,12 @@ def test_minor_counts():
     assert flattening_minors(3, [1]) == []
 
 
+def test_minors_reject_split_indices_outside_1_to_n():
+    for split in ([0, 1], [2, 5], [0]):
+        with pytest.raises(ValueError, match="1..n"):
+            flattening_minors(4, split)
+
+
 def test_minors_expand_to_six_unit_terms():
     for minor in all_flattening_minors(4):
         assert len(minor) == 6

@@ -111,6 +111,8 @@ def test_flattening_requires_proper_split():
         flattening(d, [])
     with pytest.raises(ValueError):
         flattening(d, [1, 2, 3])
+    with pytest.raises(ValueError, match="1..n"):
+        flattening(d, [0, 1])
 
 
 def test_product_distribution_rank_one():
