@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -24,7 +25,6 @@ from .codes import (covering_radius, exact_small_values, hamming_code,
                     write_code)
 from .cube import (count_zonotope_facets, enumerate_slicings,
                    write_slicings)
-from .parallel import default_threads
 from .rbmstats import (Distribution, ExpParams, MixtureParams,
                        check_membership_necessary, covariance_matrix,
                        hadamard_product, joint_distribution,
@@ -36,6 +36,7 @@ from .tropical import (AmbiguousArgmax, TropParams, inference_function,
                        write_tropical_point)
 
 Q = Fraction
+ENV_THREADS = "TRBM_THREADS"  # the worker count when --threads is not given
 
 
 def q_str(x: Fraction) -> str:
@@ -76,21 +77,32 @@ def _require(args, **fields):
                 f"--{flag} is required for this operation")
 
 
-def _load_params(path: str, *keys: str) -> list:
-    """The values of ``keys`` in a JSON params file, in that order."""
+def _rationals(value, depth: int, where: str):
+    """``value`` as a Fraction, nested in ``depth`` nonempty lists."""
+    if depth:
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"{where} needs a nonempty list, got {value!r}")
+        return [_rationals(x, depth - 1, where) for x in value]
+    try:
+        return Q(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ValueError(f"{where} holds {value!r}, not a rational") from None
+
+
+def _load_params(path: str, *keys: tuple[str, int]) -> list:
+    """Values of the (key, list depth) pairs ``keys`` in a params file."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"params file {path} must hold a JSON object")
-    for key in keys:
+    for key, _ in keys:
         if key not in doc:
             raise ValueError(f"params file {path} has no key {key!r}")
-    return [doc[key] for key in keys]
+    return [_rationals(doc[key], depth, f"params file {path}: {key!r}")
+            for key, depth in keys]
 
 
 def _trop_params(path: str) -> TropParams:
-    w, b, c = _load_params(path, "W", "b", "c")
-    return TropParams.build([[Q(x) for x in row] for row in w],
-                            [Q(x) for x in b], [Q(x) for x in c])
+    return TropParams.build(*_load_params(path, ("W", 2), ("b", 1), ("c", 1)))
 
 
 def cmd_slicings(args) -> int:
@@ -251,18 +263,14 @@ def _emit_distribution(dist: Distribution, args) -> None:
 def cmd_rbm(args) -> int:
     if args.rbm_op == "joint":
         _require(args, params=args.params)
-        beta, gamma, omega = _load_params(args.params,
-                                          "beta", "gamma", "omega")
-        params = ExpParams.build([Q(x) for x in beta], [Q(x) for x in gamma],
-                                 [[Q(x) for x in row] for row in omega])
+        params = ExpParams.build(*_load_params(
+            args.params, ("beta", 1), ("gamma", 1), ("omega", 2)))
         _emit_distribution(joint_distribution(params), args)
         return 0
     if args.rbm_op == "mixture":
         _require(args, params=args.params)
-        lam, delta, epsilon = _load_params(args.params,
-                                           "lambda", "delta", "epsilon")
-        params = MixtureParams.build(Q(lam), [Q(x) for x in delta],
-                                     [Q(x) for x in epsilon])
+        params = MixtureParams.build(*_load_params(
+            args.params, ("lambda", 0), ("delta", 1), ("epsilon", 1)))
         _emit_distribution(mixture_distribution(params), args)
         return 0
     if args.rbm_op == "hadamard":
@@ -425,9 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized searches (default 0)")
     common.add_argument("--threads", type=_thread_count,
-                        default=default_threads(),
-                        help="worker count; results are identical for any "
-                             "value")
+                        help="worker count (default: TRBM_THREADS, else 1); "
+                             "results are identical for any value")
     common.add_argument("--allow-long", action="store_true",
                         dest="allow_long",
                         help="enable long-running modes")
@@ -528,6 +535,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads is None:
+        try:
+            args.threads = _thread_count(os.environ.get(ENV_THREADS) or "1")
+        except argparse.ArgumentTypeError as exc:
+            print(f"error: {ENV_THREADS}: {exc}", file=sys.stderr)
+            return 2
     try:
         return args.handler(args)
     except (ValueError, OSError, json.JSONDecodeError,

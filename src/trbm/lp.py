@@ -30,11 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
-from .linalg import Matrix, _int_rows, integer_kernel, qtuple
+from .linalg import Matrix, _int_rows, _number, integer_kernel
 
 Q = Fraction
+Scalar = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -42,13 +43,14 @@ class LinearSystem:
     """Rows ``a_1 x_1 + ... + a_m x_m + a_0  REL  0``.
 
     Each stored row has length ``num_vars + 1``; the last entry is the
-    constant term (the homogenizing column).
+    constant term (the homogenizing column).  :meth:`build` keeps ``int``
+    entries as ``int`` and makes other entries ``Fraction``, as ``Matrix``.
     """
 
     num_vars: int
-    strict: tuple[tuple[Fraction, ...], ...] = ()
-    weak: tuple[tuple[Fraction, ...], ...] = ()
-    eq: tuple[tuple[Fraction, ...], ...] = ()
+    strict: tuple[tuple[Scalar, ...], ...] = ()
+    weak: tuple[tuple[Scalar, ...], ...] = ()
+    eq: tuple[tuple[Scalar, ...], ...] = ()
 
     def __post_init__(self):
         width = self.num_vars + 1
@@ -60,10 +62,9 @@ class LinearSystem:
 
     @classmethod
     def build(cls, num_vars: int, strict=(), weak=(), eq=()) -> "LinearSystem":
-        return cls(num_vars,
-                   tuple(qtuple(r) for r in strict),
-                   tuple(qtuple(r) for r in weak),
-                   tuple(qtuple(r) for r in eq))
+        def rows(data):
+            return tuple(tuple(map(_number, r)) for r in data)
+        return cls(num_vars, rows(strict), rows(weak), rows(eq))
 
     def evaluate(self, x: Sequence[Fraction]) -> bool:
         """Check a candidate point against every row, strict rows strictly."""
@@ -73,7 +74,7 @@ class LinearSystem:
                 and all(_dot(r, xs) == 0 for r in self.eq))
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+def _dot(a: Sequence[Scalar], b: Sequence[Fraction]) -> Fraction:
     return sum((ai * bi for ai, bi in zip(a, b)), Q(0))
 
 
@@ -146,47 +147,34 @@ def _margin_lp(rows, nvars, box: int):
     Returns the numerators of y over their common positive denominator,
     or None when the exact optimum is t = 0 (the zero point is always
     feasible, so the optimum is never negative).
+
+    With y = u - w the rows read -a.u + a.w + s t <= 0 and u, w <= box
+    over u, w, t >= 0, so the slack basis is feasible and one simplex
+    phase suffices.  The tableau is integral (Edmonds 1967: fraction-free
+    pivots over a common denominator ``den``) and condensed: it keeps
+    only the nonbasic columns, each with its variable label, and the
+    right-hand side.  In the full tableau every basic column is ``den``
+    times a unit vector, so the numbers kept are exactly the full
+    tableau's.  Bland's rule enters the smallest label with a positive
+    objective entry and breaks ratio-test ties by the smallest basic
+    label, so the pivots, the optimum, y and ``den`` are those of the
+    full tableau.
     """
-    # structural variables: u_0..u_{n-1}, w_0..w_{n-1}, t  (y = u - w)
+    # labels: u_0..u_{n-1}, w_0..w_{n-1}, t, then one slack per row
     nstruct = 2 * nvars + 1
-    cons = [([-x for x in a] + a + [s], 0) for a, s in rows]
-    for j in range(2 * nvars):
-        unit = [0] * nstruct
-        unit[j] = 1
-        cons.append((unit, box))
-    objective = [0] * nstruct
-    objective[-1] = 1
-
-    value, assignment, den = _simplex_max(cons, objective)
-    if value <= 0:
-        return None
-    return [assignment[j] - assignment[nvars + j] for j in range(nvars)], den
-
-
-def _simplex_max(cons: list[tuple[list[int], int]],
-                 objective: list[int]) -> tuple[int, list[int], int]:
-    """Maximize objective over A y <= b, y >= 0 with all b >= 0.
-
-    The slack basis is feasible, so a single phase suffices.  The tableau
-    is kept integral (Edmonds-style pivoting with a common denominator)
-    and Bland's rule guarantees termination under degeneracy.  Returns
-    the optimum and the optimal y as numerators over the common
-    denominator, which is positive.
-    """
-    nstruct = len(objective)
-    nrows = len(cons)
-    width = nstruct + nrows + 1
-    tab: list[list[int]] = []
-    for i, (row, rhs) in enumerate(cons):
-        r = row + [0] * nrows + [rhs]
-        r[nstruct + i] = 1
-        tab.append(r)
-    obj = objective + [0] * nrows + [0]
+    tab = [[-x for x in a] + a + [s, 0] for a, s in rows]
+    tab += [[int(i == j) for i in range(nstruct)] + [box]
+            for j in range(2 * nvars)]
+    nrows = len(tab)
+    obj = [0] * (2 * nvars) + [1, 0]
+    tab.append(obj)  # the objective row is updated with the others
+    nonbasic = list(range(nstruct))
+    basis = list(range(nstruct, nstruct + nrows))
     den = 1
-    basis = [nstruct + i for i in range(nrows)]
 
     while True:
-        enter = next((j for j in range(width - 1) if obj[j] > 0), None)
+        enter = min((j for j in range(nstruct) if obj[j] > 0),
+                    key=nonbasic.__getitem__, default=None)
         if enter is None:
             break
         leave = -1
@@ -196,26 +184,33 @@ def _simplex_max(cons: list[tuple[list[int], int]],
             if leave < 0:
                 leave = i
                 continue
-            lhs = tab[i][width - 1] * tab[leave][enter]
-            rhs = tab[leave][width - 1] * tab[i][enter]
+            lhs = tab[i][-1] * tab[leave][enter]
+            rhs = tab[leave][-1] * tab[i][enter]
             if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                 leave = i
         if leave < 0:
             raise RuntimeError("margin program unbounded despite box")
-        piv = tab[leave][enter]
-        for i in range(nrows):
+        prow = tab[leave]
+        piv = prow[enter]
+        for i, row in enumerate(tab):
             if i == leave:
                 continue
-            f = tab[i][enter]
-            tab[i] = [(piv * tab[i][j] - f * tab[leave][j]) // den
-                      for j in range(width)]
-        f = obj[enter]
-        obj = [(piv * obj[j] - f * tab[leave][j]) // den for j in range(width)]
+            f = row[enter]
+            if f:
+                row = [(piv * x - f * y) // den for x, y in zip(row, prow)]
+                row[enter] = -f
+                tab[i] = row
+            elif piv != den:
+                tab[i] = [piv * x // den for x in row]
+        obj = tab[nrows]
+        prow[enter] = den
         den = piv
-        basis[leave] = enter
+        basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
 
-    assignment = [0] * nstruct
-    for i, bv in enumerate(basis):
-        if bv < nstruct:
-            assignment[bv] = tab[i][width - 1]
-    return -obj[width - 1], assignment, den
+    if obj[-1] >= 0:
+        return None  # the optimum -obj[-1] / den is t = 0
+    values = [0] * nstruct
+    for i, label in enumerate(basis):
+        if label < nstruct:
+            values[label] = tab[i][-1]
+    return [values[j] - values[nvars + j] for j in range(nvars)], den

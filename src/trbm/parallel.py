@@ -6,19 +6,8 @@ preserves input order, so results are identical for any worker count.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
-
-ENV_THREADS = "TRBM_THREADS"
-
-
-def default_threads() -> int:
-    value = os.environ.get(ENV_THREADS, "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def parallel_map(fn: Callable, items: Sequence, threads: int = 1) -> list:

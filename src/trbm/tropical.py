@@ -193,6 +193,8 @@ def tropical_dimension(n: int, k: int, strategy: str = "exhaustive",
     slicings; ``code_based`` and ``greedy_random`` produce lower bounds,
     certified only when they meet min(nk+n+k, 2^n - 1).
     """
+    if n < 1:
+        raise ValueError(f"dim needs n >= 1, got n={n}")
     if strategy == "exhaustive":
         slicings = enumerate_slicings(n, allow_long=allow_long)
         total = 1

@@ -280,3 +280,58 @@ def test_threads_below_one_exit_2(capsys):
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert "--threads" in err and "at least 1" in err
+
+
+@pytest.mark.parametrize("value", ["-3", "0", "abc"])
+def test_malformed_trbm_threads_exits_2(value, monkeypatch, capsys):
+    monkeypatch.setenv("TRBM_THREADS", value)
+    code, out, err = run(capsys, "slicings", "--n", "2", "--count")
+    assert (code, out) == (2, "")
+    assert err == ("error: TRBM_THREADS: expected an integer of at least 1, "
+                   f"got {value!r}\n")
+
+
+def test_trbm_threads_sets_the_default(monkeypatch, capsys):
+    monkeypatch.setenv("TRBM_THREADS", "2")
+    assert run(capsys, "slicings", "--n", "2", "--count")[:2] == (0, "14\n")
+    monkeypatch.setenv("TRBM_THREADS", "abc")
+    code, out, _ = run(capsys, "slicings", "--n", "2", "--count",
+                       "--threads", "1")
+    assert (code, out) == (0, "14\n")
+
+
+@pytest.mark.parametrize("loader, command, key, value", [
+    ("phi", ("phi",), "b", ["0", "1/0"]),
+    ("joint", ("rbm", "joint"), "beta", ["1", "1/0"]),
+    ("mixture", ("rbm", "mixture"), "lambda", "1/0")])
+def test_params_file_zero_denominator_exits_2(loader, command, key, value,
+                                              tmp_path, capsys):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(dict(PARAMS[loader], **{key: value})))
+    code, out, err = run(capsys, *command, "--params", str(params))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and f"'{key}'" in err and "'1/0'" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("W", []), ("b", []), ("c", []), ("W", [[]]), ("W", ["1", "1"]),
+    ("b", "0"), ("W", [[["1"], "1"]])])
+def test_params_file_empty_or_misshapen_list_exits_2(key, value, tmp_path,
+                                                     capsys):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(dict(PARAMS["phi"], **{key: value})))
+    code, out, err = run(capsys, "phi", "--params", str(params))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and f"'{key}'" in err
+    assert "nonempty list" in err or "not a rational" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "code_based",
+                                      "greedy_random"])
+def test_dim_n_below_one_exits_2(strategy, capsys):
+    code, out, err = run(capsys, "dim", "--n", "0", "--k", "1",
+                         "--strategy", strategy)
+    assert (code, out) == (2, "")
+    assert err == "error: dim needs n >= 1, got n=0\n"

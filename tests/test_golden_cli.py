@@ -1,12 +1,16 @@
 """Byte-identical CLI transcripts of commands that print exact elimination
-results: certified dimensions with their witnesses, facet counts,
-homology ranks, membership witnesses, flattening ranks and covariances.
+and feasibility results: certified dimensions with their witnesses, facet
+counts, homology ranks, membership witnesses, flattening ranks,
+covariances and the slicing witnesses of the arrangement census.
 
 ``golden_cli.json`` holds the stdout and exit code of each case, recorded
-from the rational Gauss-Jordan implementation of ``trbm.linalg``.  Any
-change to the elimination core must reproduce them byte for byte.
+from the rational Gauss-Jordan implementation of ``trbm.linalg``; the
+census cases were recorded from the full-tableau simplex of ``trbm.lp``.
+Any change to the elimination core or the simplex must reproduce them
+byte for byte.  Long outputs are pinned by the SHA-256 of their stdout.
 """
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -46,6 +50,12 @@ CASES = {
                           "--json"],
     "covariance": ["rbm", "covariance", "--dist", "{dist}"],
     "covariance_json": ["rbm", "covariance", "--dist", "{dist}", "--json"],
+    "slicings_3": ["slicings", "--n", "3"],
+}
+
+# The n = 4 census prints 1882 witnesses: only its digest is stored.
+DIGEST_CASES = {
+    "slicings_4": ["slicings", "--n", "4"],
 }
 
 
@@ -72,11 +82,15 @@ def write_inputs(directory: Path) -> dict[str, str]:
     return paths
 
 
-def transcript(argv: list[str], paths: dict[str, str]) -> dict:
-    """Exit code and stdout of one CLI run."""
+def transcript(argv: list[str], paths: dict[str, str],
+               digest: bool = False) -> dict:
+    """Exit code and stdout (or its SHA-256) of one CLI run."""
     out = io.StringIO()
     with redirect_stdout(out):
         code = main([arg.format(**paths) for arg in argv])
+    if digest:
+        sha = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        return {"exit": code, "stdout_sha256": sha}
     return {"exit": code, "stdout": out.getvalue()}
 
 
@@ -86,9 +100,15 @@ def golden():
 
 
 def test_golden_covers_every_case(golden):
-    assert sorted(golden) == sorted(CASES)
+    assert sorted(golden) == sorted({**CASES, **DIGEST_CASES})
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_transcript_is_byte_identical(name, golden, tmp_path):
     assert transcript(CASES[name], write_inputs(tmp_path)) == golden[name]
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_CASES))
+def test_cli_transcript_digest_is_identical(name, golden, tmp_path):
+    assert (transcript(DIGEST_CASES[name], write_inputs(tmp_path),
+                       digest=True) == golden[name])

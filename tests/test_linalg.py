@@ -4,6 +4,7 @@ from random import Random
 from trbm.linalg import (Matrix, integer_kernel, nullspace, rank,
                          rank_bareiss, rref, solve)
 from trbm.cube import all_vertices, vertex_coords
+from trbm.lp import LinearSystem
 
 
 def cube_matrix(n):
@@ -191,3 +192,14 @@ def test_matrix_keeps_ints_and_converts_other_scalars():
     assert all(type(x) is int for row in Matrix.identity(3).data
                for x in row)
     assert all(type(x) is int for row in cube_matrix(3).data for x in row)
+
+
+def test_linear_system_keeps_ints_and_converts_other_scalars():
+    sys_ = LinearSystem.build(2, strict=[(1, True, Q(1, 2))],
+                              weak=[(False, "1/2", 0.5)], eq=[(3, -2, 0)])
+    assert [[type(x) for x in row] for rows in (sys_.strict, sys_.weak,
+                                                 sys_.eq) for row in rows] \
+        == [[int, int, Q], [int, Q, Q], [int, int, int]]
+    assert (sys_.strict, sys_.weak, sys_.eq) == (((1, 1, Q(1, 2)),),
+                                                 ((0, Q(1, 2), Q(1, 2)),),
+                                                 ((3, -2, 0),))
