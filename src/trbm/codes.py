@@ -19,6 +19,8 @@ from .cube import Slicing, all_vertices, vertex_coords, vertex_weight
 
 Q = Fraction
 
+HAMMING_LIMIT = 4  # ell = 5 would list 2^26 codewords
+
 
 @dataclass(frozen=True)
 class BinaryCode:
@@ -89,6 +91,9 @@ def hamming_code(ell: int) -> BinaryCode:
     """
     if ell < 2:
         raise ValueError("ell must be at least 2")
+    if ell > HAMMING_LIMIT:
+        raise ValueError(f"ell={ell} gives 2^(2^{ell} - {ell + 1}) "
+                         f"codewords; ell <= {HAMMING_LIMIT} is supported")
     n = (1 << ell) - 1
     # check matrix rows over GF(2), one per parity bit
     rows = []

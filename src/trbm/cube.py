@@ -18,9 +18,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import gcd
+from operator import mul
 from typing import Iterable, Optional, Sequence, TextIO
 
-from .linalg import Matrix, integer_kernel
+from .linalg import Matrix, _int_rows, integer_kernel
 from .lp import LinearSystem, solve_feasibility
 from .parallel import parallel_map
 
@@ -69,9 +70,15 @@ class Slicing:
     def __post_init__(self):
         if len(self.omega) != self.n:
             raise ValueError("witness length mismatch")
-        for v in all_vertices(self.n):
-            value = self.margin(v)
-            if value == 0 or (value > 0) != (v in self.positive):
+        # the margins times the witness's common denominator D > 0 keep
+        # their signs and are the integers C + sum(W_j for the set bits)
+        [(const, *weights)] = _int_rows([(self.c, *self.omega)])
+        margins = [const]
+        for w in weights:  # coordinate 1 ends as the most significant bit
+            margins = [m + b for m in margins for b in (0, w)]
+        positive = self.mask
+        for v, value in enumerate(margins):
+            if value == 0 or (value > 0) != bool(positive >> v & 1):
                 raise ValueError(
                     f"witness does not separate vertex {v:0{self.n}b}")
 
@@ -97,7 +104,9 @@ def is_slicing(subset: Iterable[int], n: int) -> Optional[Slicing]:
     """Exact separability test; returns a witnessed Slicing or None.
 
     The empty and the full vertex set are slicings (constant threshold
-    functions) with witnesses omega = 0 and c = -1 or +1.
+    functions) with witnesses omega = 0 and c = -1 or +1.  A subset with
+    a parallelogram certificate (:func:`_parallelogram`) is refuted
+    without an LP.
     """
     positive = frozenset(subset)
     if not positive <= set(all_vertices(n)):
@@ -105,6 +114,9 @@ def is_slicing(subset: Iterable[int], n: int) -> Optional[Slicing]:
     if not positive or len(positive) == 1 << n:
         c = Q(1) if positive else Q(-1)
         return Slicing(n, positive, tuple(Q(0) for _ in range(n)), c)
+    pos = subset_mask(positive)
+    if _refuted(pos, ((1 << (1 << n)) - 1) ^ pos, n):
+        return None
     strict = []
     for v in all_vertices(n):
         sign = 1 if v in positive else -1
@@ -114,6 +126,46 @@ def is_slicing(subset: Iterable[int], n: int) -> Optional[Slicing]:
     if witness is None:
         return None
     return Slicing(n, positive, witness[:n], witness[n])
+
+
+def _parallelogram(pos_mask: int,
+                   neg_mask: int) -> Optional[tuple[int, int, int, int]]:
+    """Vertices a, b of ``pos_mask`` and c, d of ``neg_mask`` with
+    a + b = c + d as 0/1 vectors, or None (Elgot's asummability, 1961).
+
+    Such a quadruple certifies that no hyperplane strictly separates the
+    two vertex sets: the margin of a separating witness is an affine
+    function m of the vertex, so m(a) + m(b) = m(c) + m(d), with the left
+    side > 0 and the right side < 0.  Refuting only such systems skips no
+    feasible LP, so every LP that still runs, and with it every witness,
+    count and output byte, is the one that runs without the certificate.
+    For vertex indices a + b = c + d is a & b == c & d and a | b == c | d;
+    a == b and c == d are allowed.
+    """
+    pos = [v for v in range(pos_mask.bit_length()) if pos_mask >> v & 1]
+    neg = [v for v in range(neg_mask.bit_length()) if neg_mask >> v & 1]
+    sums = {(a & b, a | b): (a, b) for i, a in enumerate(pos) for b in pos[i:]}
+    for i, c in enumerate(neg):
+        for d in neg[i:]:
+            ab = sums.get((c & d, c | d))
+            if ab:
+                return ab + (c, d)
+    return None
+
+
+def _refuted(pos_mask: int, neg_mask: int, n: int) -> bool:
+    """Whether a parallelogram certificate, re-checked by substituting
+    vertex coordinates, shows ``pos_mask`` and ``neg_mask`` inseparable."""
+    quad = _parallelogram(pos_mask, neg_mask)
+    if quad is None:
+        return False
+    a, b, c, d = quad
+    sides = pos_mask >> a & pos_mask >> b & neg_mask >> c & neg_mask >> d & 1
+    coords = [vertex_coords(v, n) for v in quad]
+    if not sides or any(w + x != y + z for w, x, y, z in zip(*coords)):
+        raise AssertionError(
+            f"parallelogram certificate {quad} failed re-validation")
+    return True
 
 
 def _brute_chunk(args) -> list[tuple[int, tuple, Fraction]]:
@@ -161,39 +213,46 @@ def _enumerate_arrangement(n: int, threads: int) -> list[Slicing]:
     Hyperplanes live in R^(n+1) with coordinates (omega, c); vertex v
     contributes the hyperplane omega.v + c = 0.  Hyperplanes are inserted
     one at a time; each known region either keeps its witness or splits,
-    which one strict-feasibility solve per candidate side decides.
+    which one strict-feasibility solve per candidate side decides, unless
+    a parallelogram certificate refutes the side first.  A region is the
+    mask of its positive vertices among those inserted, with a witness.
     """
     planes = [vertex_coords(v, n) + (1,) for v in all_vertices(n)]
+    # the strict row of each vertex on its negative (0) and positive side
+    sided = [(tuple(-x for x in plane) + (0,), plane + (0,))
+             for plane in planes]
     zero = tuple(Q(0) for _ in range(n + 1))
-    regions: list[tuple[tuple[int, ...], tuple[Fraction, ...]]] = [((), zero)]
-    for plane in planes:
+    regions: list[tuple[int, tuple[Fraction, ...]]] = [(0, zero)]
+    for k, plane in enumerate(planes):
+        inserted = (1 << (k + 1)) - 1
         jobs = []
         keep = []
-        for signs, point in regions:
-            value = sum((Q(plane[j]) * point[j] for j in range(n + 1)), Q(0))
+        for pos, point in regions:
+            value = sum(map(mul, plane, point))
             side = 1 if value > 0 else (-1 if value < 0 else 0)
             sides_to_test = (1, -1) if side == 0 else (-side,)
             if side != 0:
-                keep.append((signs + (side,), point, None))
+                keep.append((pos | (side > 0) << k, point, None))
             for cand in sides_to_test:
-                rows = [tuple(s * x for x in planes[i]) + (0,)
-                        for i, s in enumerate(signs)]
-                rows.append(tuple(cand * x for x in plane) + (0,))
-                keep.append((signs + (cand,), None, len(jobs)))
-                jobs.append(tuple(rows))
+                cand_pos = pos | (cand > 0) << k
+                if _refuted(cand_pos, inserted ^ cand_pos, n):
+                    continue
+                keep.append((cand_pos, None, len(jobs)))
+                jobs.append(tuple(sided[i][cand_pos >> i & 1]
+                                  for i in range(k + 1)))
         chunk = max(1, len(jobs) // 64)
         batches = [(n, jobs[i:i + chunk]) for i in range(0, len(jobs), chunk)]
         results = [w for batch in parallel_map(_flip_chunk, batches, threads)
                    for w in batch]
         regions = []
-        for signs, point, job_id in keep:
+        for pos, point, job_id in keep:
             if point is not None:
-                regions.append((signs, point))
+                regions.append((pos, point))
             elif results[job_id] is not None:
-                regions.append((signs, results[job_id]))
+                regions.append((pos, results[job_id]))
     slicings = []
-    for signs, point in regions:
-        pos = frozenset(v for v in all_vertices(n) if signs[v] > 0)
+    for mask, point in regions:
+        pos = frozenset(v for v in all_vertices(n) if mask >> v & 1)
         slicings.append(Slicing(n, pos, point[:n], point[n]))
     return sorted(slicings, key=Slicing.sort_key)
 

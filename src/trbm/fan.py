@@ -115,21 +115,16 @@ def _face_to_face(a: frozenset[int], b: frozenset[int]) -> bool:
     va, vb = sorted(a), sorted(b)
     base_eq = []
     for x in range(N):
-        base_eq.append([Q(vertex_coords(u, N)[x]) for u in va]
-                       + [-Q(vertex_coords(u, N)[x]) for u in vb] + [Q(0)])
-    base_eq.append([Q(1)] * 4 + [Q(0)] * 4 + [Q(-1)])
-    base_eq.append([Q(0)] * 4 + [Q(1)] * 4 + [Q(-1)])
-    nonneg = []
-    for i in range(8):
-        row = [Q(0)] * 9
-        row[i] = Q(1)
-        nonneg.append(row)
+        base_eq.append([vertex_coords(u, N)[x] for u in va]
+                       + [-vertex_coords(u, N)[x] for u in vb] + [0])
+    base_eq.append([1] * 4 + [0] * 4 + [-1])
+    base_eq.append([0] * 4 + [1] * 4 + [-1])
+    nonneg = [[int(i == j) for j in range(9)] for i in range(8)]
     for side, order in ((0, va), (4, vb)):
         for pos, u in enumerate(order):
             if u in shared:
                 continue
-            pick = [Q(0)] * 9
-            pick[side + pos] = Q(1)
+            pick = [int(j == side + pos) for j in range(9)]
             system = LinearSystem.build(8, strict=[pick], weak=nonneg,
                                         eq=base_eq)
             if solve_feasibility(system) is not None:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .linalg import Matrix, _int_rows, _number, integer_kernel
@@ -66,16 +67,22 @@ class LinearSystem:
             return tuple(tuple(map(_number, r)) for r in data)
         return cls(num_vars, rows(strict), rows(weak), rows(eq))
 
-    def evaluate(self, x: Sequence[Fraction]) -> bool:
-        """Check a candidate point against every row, strict rows strictly."""
-        xs = list(x) + [Q(1)]
+    def evaluate(self, x: Sequence[Scalar]) -> bool:
+        """Check a candidate point against every row, strict rows strictly.
+
+        The point is substituted as the integer numerators of its entries
+        over their common denominator D > 0, with D in the constant slot:
+        each row's value is multiplied by D, which leaves every sign as it
+        is, and ``int`` rows are evaluated in ``int`` arithmetic.
+        """
+        [xs] = _int_rows([(*x, 1)])
         return (all(_dot(r, xs) > 0 for r in self.strict)
                 and all(_dot(r, xs) >= 0 for r in self.weak)
                 and all(_dot(r, xs) == 0 for r in self.eq))
 
 
-def _dot(a: Sequence[Scalar], b: Sequence[Fraction]) -> Fraction:
-    return sum((ai * bi for ai, bi in zip(a, b)), Q(0))
+def _dot(a: Sequence[Scalar], b: Sequence[int]) -> Scalar:
+    return sum(map(mul, a, b))
 
 
 def solve_feasibility(sys: LinearSystem) -> Optional[tuple[Fraction, ...]]:

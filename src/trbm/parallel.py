@@ -6,13 +6,16 @@ preserves input order, so results are identical for any worker count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
 
 def parallel_map(fn: Callable, items: Sequence, threads: int = 1) -> list:
-    """Order-preserving map, optionally fanned out over processes."""
+    """Order-preserving map, optionally fanned out over at most
+    ``os.cpu_count()`` processes."""
     items = list(items)
+    threads = min(threads, os.cpu_count() or 1)
     if threads <= 1 or len(items) < 4 * threads:
         return [fn(x) for x in items]
     chunk = max(1, len(items) // (threads * 8))

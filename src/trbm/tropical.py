@@ -364,7 +364,13 @@ def write_tropical_point(q: TropicalPoint, stream: TextIO) -> None:
 
 
 def read_tropical_point(stream: TextIO) -> TropicalPoint:
-    values = [Q(line.strip()) for line in stream if line.strip()]
+    values = []
+    for line in filter(None, map(str.strip, stream)):
+        try:
+            values.append(Q(line))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"expected a rational per line, got {line!r}") from None
     n = (len(values) - 1).bit_length()
     if len(values) != 1 << n:
         raise ValueError("expected 2^n values")

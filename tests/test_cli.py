@@ -335,3 +335,32 @@ def test_dim_n_below_one_exits_2(strategy, capsys):
                          "--strategy", strategy)
     assert (code, out) == (2, "")
     assert err == "error: dim needs n >= 1, got n=0\n"
+
+
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+def test_member_point_file_non_rational_exits_2(value, tmp_path, capsys):
+    point = tmp_path / "q.txt"
+    point.write_text(f"1\n{value}\n")
+    code, out, err = run(capsys, "member-tm1", "--point", str(point))
+    assert (code, out) == (2, "")
+    assert err == f"error: expected a rational per line, got '{value}'\n"
+
+
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+def test_initial_form_weights_non_rational_exits_2(value, tmp_path, capsys):
+    poly = tmp_path / "f.txt"
+    poly.write_text("1 * p_00\n1 * p_11\n")
+    weights = tmp_path / "w.txt"
+    weights.write_text(f"5\n0\n{value}\n1\n")
+    code, out, err = run(capsys, "tropvar", "initial-form", "--n", "2",
+                         "--poly", str(poly), "--weights", str(weights))
+    assert (code, out) == (2, "")
+    assert err == f"error: expected a rational per line, got '{value}'\n"
+
+
+@pytest.mark.parametrize("ell", ["5", "40"])
+def test_hamming_too_large_exits_2(ell, capsys):
+    code, out, err = run(capsys, "codes", "hamming", "--ell", ell)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: ell={ell} gives 2^(2^{ell} - ")
+    assert err.endswith("codewords; ell <= 4 is supported\n")

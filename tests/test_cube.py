@@ -1,11 +1,15 @@
 import io
+from fractions import Fraction as Q
+from random import Random
 
 import pytest
 
-from trbm.cube import (Slicing, all_vertices, count_zonotope_facets,
-                       cube_symmetries, enumerate_slicings, is_slicing,
-                       read_slicings, subset_mask, vertex_coords,
-                       vertex_index, write_slicings)
+from trbm.cube import (Slicing, _parallelogram, all_vertices,
+                       count_zonotope_facets, cube_symmetries,
+                       enumerate_slicings, is_slicing, read_slicings,
+                       subset_mask, vertex_coords, vertex_index,
+                       write_slicings)
+from trbm.lp import LinearSystem, solve_feasibility
 
 
 def test_vertex_indexing_is_lexicographic():
@@ -132,3 +136,92 @@ def test_symmetry_group_order():
     assert len(cube_symmetries(3)) == 48
     for sym in cube_symmetries(3):
         assert sorted(sym) == list(range(8))
+
+
+def certificate_holds(quad, pos, neg, n):
+    """a, b in pos, c, d in neg and a + b = c + d coordinate by coordinate."""
+    a, b, c, d = quad
+    xa, xb, xc, xd = (vertex_coords(v, n) for v in quad)
+    return (pos >> a & 1 and pos >> b & 1 and neg >> c & 1 and neg >> d & 1
+            and all(p + q == r + s for p, q, r, s in zip(xa, xb, xc, xd)))
+
+
+def test_masks_without_parallelogram_are_the_census():
+    for n, count in ((1, 4), (2, 14), (3, 104), (4, 1882)):
+        full = (1 << (1 << n)) - 1
+        free = [mask for mask in range(full + 1)
+                if _parallelogram(mask, full ^ mask) is None]
+        assert len(free) == count
+        assert free == sorted(s.mask for s in enumerate_slicings(n))
+
+
+def test_parallelogram_refutes_only_infeasible_systems():
+    def separation(mask, n):
+        rows = []
+        for v in all_vertices(n):
+            sign = 1 if mask >> v & 1 else -1
+            rows.append(tuple(sign * x for x in vertex_coords(v, n))
+                        + (sign, 0))
+        return LinearSystem.build(n + 1, strict=rows)
+
+    rng = Random(5)
+    cases = [(3, mask) for mask in range(1 << 8)]
+    cases += [(4, rng.getrandbits(16)) for _ in range(500)]
+    certified = 0
+    for n, mask in cases:
+        neg = ((1 << (1 << n)) - 1) ^ mask
+        quad = _parallelogram(mask, neg)
+        if quad is not None:
+            certified += 1
+            assert certificate_holds(quad, mask, neg, n)
+            assert solve_feasibility(separation(mask, n)) is None
+    assert certified > 400
+
+
+def test_parallelogram_on_partial_labellings():
+    # the arrangement census asks about the vertices inserted so far
+    assert _parallelogram(0b1001, 0b0110) == (0, 3, 1, 2)  # xor of 2 bits
+    assert _parallelogram(0b0011, 0b1100) is None
+    assert _parallelogram(0b1, 0) is None
+    assert _parallelogram(0b10000001, 0b01100000) is None  # 111 != 211
+    quad = _parallelogram(0b10000001, 0b00011000)  # 000 + 111 = 011 + 100
+    assert quad == (0, 7, 3, 4)
+    assert certificate_holds(quad, 0b10000001, 0b00011000, 3)
+
+
+def test_slicing_rejects_zero_and_negative_near_misses():
+    d = 10 ** 30 + 7
+    with pytest.raises(ValueError):  # vertex 11 has margin exactly 0
+        Slicing(2, frozenset({3}), (Q(1), Q(1)), Q(-2))
+    with pytest.raises(ValueError):  # vertex 11 has margin -1/d
+        Slicing(2, frozenset({3}), (Q(1), Q(1)), Q(-2) - Q(1, d))
+    with pytest.raises(ValueError):  # vertex 01 has margin +1/d, not < 0
+        Slicing(2, frozenset({3}), (Q(1, 3), Q(2, 3)), Q(-2, 3) + Q(1, d))
+    s = Slicing(2, frozenset({3}), (Q(1), Q(1)), Q(-2) + Q(1, d))
+    assert s.margin(3) == Q(1, d) and s.margin(2) == Q(-1) + Q(1, d)
+
+
+def test_slicing_check_agrees_with_fraction_margins():
+    rng = Random(8)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        den = rng.randint(1, 10 ** 12)
+        omega = tuple(Q(rng.randint(-3 * den, 3 * den),
+                        den * rng.randint(1, 9)) for _ in range(n))
+        if rng.random() < 0.3:  # put a vertex exactly on the hyperplane
+            c = -sum(w * x for w, x in zip(omega, vertex_coords(
+                rng.randrange(1 << n), n)))
+        else:
+            c = Q(rng.randint(-3 * den, 3 * den), den)
+        margins = [sum((w * x for w, x in zip(omega, vertex_coords(v, n))),
+                       c) for v in all_vertices(n)]
+        positive = frozenset(v for v, m in enumerate(margins) if m > 0)
+        if rng.random() < 0.3:  # flip one vertex
+            positive = positive ^ {rng.randrange(1 << n)}
+        separates = all(m != 0 and (m > 0) == (v in positive)
+                        for v, m in enumerate(margins))
+        if separates:
+            assert Slicing(n, positive, omega, c).mask == subset_mask(positive)
+        else:
+            with pytest.raises(ValueError):
+                Slicing(n, positive, omega, c)

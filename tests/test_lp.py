@@ -93,3 +93,65 @@ def test_empty_system_rejected():
 def test_ragged_rows_rejected():
     with pytest.raises(ValueError):
         LinearSystem.build(2, strict=[(1, 0)])
+
+
+def fraction_oracle(sys_, x):
+    """Every row's value at x in Fraction arithmetic, then its relation."""
+    def value(row):
+        return sum((Q(a) * b for a, b in zip(row, list(x) + [Q(1)])), Q(0))
+    return (all(value(r) > 0 for r in sys_.strict)
+            and all(value(r) >= 0 for r in sys_.weak)
+            and all(value(r) == 0 for r in sys_.eq))
+
+
+def test_evaluate_agrees_with_fraction_substitution():
+    rng = Random(17)
+    agree = {True: 0, False: 0}
+    for _ in range(400):
+        m = rng.randint(1, 5)
+        big = rng.randint(10 ** 15, 10 ** 18)  # a large shared denominator
+        x = [Q(rng.randint(-big, big), big * rng.randint(1, 50))
+             if rng.random() < 0.8 else rng.randint(-3, 3) for _ in range(m)]
+
+        def row(shifts):
+            if rng.random() < 0.5:
+                r = [rng.randint(-4, 4) for _ in range(m + 1)]
+            else:
+                r = [Q(rng.randint(-9, 9), rng.randint(1, 9))
+                     for _ in range(m + 1)]
+            value = sum(Q(a) * b for a, b in zip(r, x)) + r[m]
+            shift = rng.choice(shifts)
+            if shift is not None:  # land exactly on, or just off, zero
+                r[m] = r[m] - value + shift
+            return r
+
+        near = (None, 0, Q(1, big), Q(1, big), -Q(1, big))
+        sys_ = LinearSystem.build(
+            m, strict=[row(near) for _ in range(rng.randint(0, 2))],
+            weak=[row(near) for _ in range(rng.randint(0, 2))],
+            eq=[row((0, 0, 0, Q(1, big))) for _ in range(rng.randint(1, 2))])
+        expected = fraction_oracle(sys_, x)
+        assert sys_.evaluate(x) == expected
+        assert sys_.evaluate(tuple(Q(v) for v in x)) == expected
+        agree[expected] += 1
+    assert min(agree.values()) > 20
+
+
+def test_evaluate_rejects_zero_and_negative_near_misses():
+    d = 10 ** 30 + 7
+    x = (Q(1, d), Q(-2, 3))
+    on = (d, 0, 0)                  # value exactly 1 at x
+    for rows, ok in (
+            (dict(strict=[on[:2] + (-1,)]), False),           # 0 > 0
+            (dict(strict=[on[:2] + (-1 + Q(1, d),)]), True),
+            (dict(strict=[(1, 0, 0)]), True),                  # 1/d > 0
+            (dict(strict=[(-1, 0, 0)]), False),                # -1/d > 0
+            (dict(weak=[(1, 0, -Q(2, d))]), False),            # -1/d >= 0
+            (dict(weak=[(d, 0, -1)]), True),                   # 0 >= 0
+            (dict(eq=[(d, 0, -1)]), True),                     # 0 == 0
+            (dict(eq=[(1, 0, 0)]), False),                     # 1/d == 0
+            (dict(eq=[(0, 3, 2)]), True),
+            (dict(eq=[(0, 3, 2 + Q(1, d))]), False)):
+        sys_ = LinearSystem.build(2, **rows)
+        assert fraction_oracle(sys_, x) == ok
+        assert sys_.evaluate(x) == ok
