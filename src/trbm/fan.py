@@ -23,10 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .cube import all_vertices, cube_symmetries, vertex_coords
-from .linalg import Matrix, qtuple, rank, solve
+from .linalg import (Matrix, _eliminate, _int_rows, integer_kernel,
+                     qtuple, rank)
 from .lp import LinearSystem, solve_feasibility
 from .tropical import TropicalPoint, tropical_membership, tropical_morphism
 
@@ -62,32 +64,68 @@ def tet_volume_units(cell: Iterable[int]) -> int:
     return abs(det)
 
 
+@lru_cache(maxsize=None)
+def _lift_evaluators(n: int) -> tuple[tuple, ...]:
+    """Integer minorant tests of the n-cube: ``(S, d, lambdas)`` for each
+    affine basis S, with ``lambdas[u]`` the numerators of vertex u.
+
+    For each affinely independent (n + 1)-subset S, one Gauss-Jordan
+    elimination of ``[M_S^T | all vertices]`` (M_S has the rows (s, 1))
+    gives a divisor d and, for every vertex u, the Cramer numerators
+    lambda(u) with sum_i lambda_i(u) (s_i, 1) = d (u, 1).  The affine
+    function through the lift on S then takes the value
+    sum_i lambda_i(u) h(s_i) / d at u.  The sign of d is moved into the
+    numerators, so d > 0.  Each lambda(u) is checked by substitution.
+    """
+    points = [vertex_coords(v, n) + (1,) for v in all_vertices(n)]
+    table = []
+    for subset in combinations(all_vertices(n), n + 1):
+        a = [[points[s][i] for s in subset] + [p[i] for p in points]
+             for i in range(n + 1)]
+        pivots, d = _eliminate(a, n + 1, jordan=True)
+        if len(pivots) != n + 1:
+            continue  # S is affinely dependent
+        sign = 1 if d > 0 else -1
+        lams = tuple(tuple(sign * row[n + 1 + u] for row in a)
+                     for u in range(len(points)))
+        for lam, p in zip(lams, points):
+            if any(sum(li * points[s][i] for li, s in zip(lam, subset))
+                   != sign * d * p[i] for i in range(n + 1)):
+                raise AssertionError(f"Cramer numerators of {subset} "
+                                     "failed re-validation")
+        table.append((subset, sign * d, lams))
+    return tuple(table)
+
+
 def regular_subdivision_from_lift(w, n: int = N) -> RegularSubdivision:
     """Subdivision induced by lifting vertex v to height w[v].
 
     A vertex set is a cell when some affine function touches the lift
     exactly there and stays weakly below it everywhere else; maximal
-    touching sets are returned.
+    touching sets are returned.  Each candidate affine function is the
+    one through the lift on an affine basis S (:func:`_lift_evaluators`).
+    With the heights scaled to integers h, it exceeds the lift at u
+    exactly when d h(u) - sum_i lambda_i(u) h(s_i) < 0, and touches it
+    exactly when that value is 0.
     """
     if isinstance(w, TropicalPoint):
         w = w.values
     heights = qtuple(w)
     if len(heights) != 1 << n:
         raise ValueError("expected one height per vertex")
-    verts = list(all_vertices(n))
+    [h] = _int_rows([heights])
     touching: set[frozenset[int]] = set()
-    for subset in combinations(verts, n + 1):
-        m = Matrix([list(vertex_coords(v, n)) + [1] for v in subset])
-        if rank(m) != n + 1:
-            continue
-        alpha = solve(m, [heights[v] for v in subset])
-        values = [sum((alpha[j] * x for j, x in
-                       enumerate(vertex_coords(v, n))), alpha[n])
-                  for v in verts]
-        if any(values[v] > heights[v] for v in verts):
-            continue
-        touching.add(frozenset(v for v in verts
-                               if values[v] == heights[v]))
+    for subset, d, lams in _lift_evaluators(n):
+        hs = [h[s] for s in subset]
+        touched = []
+        for u, lam in enumerate(lams):
+            gap = d * h[u] - sum(map(mul, lam, hs))
+            if gap < 0:
+                break
+            if gap == 0:
+                touched.append(u)
+        else:
+            touching.add(frozenset(touched))
     cells = {t for t in touching
              if not any(t < other for other in touching)}
     return RegularSubdivision(n, frozenset(cells), heights)
@@ -105,31 +143,45 @@ def _candidate_tets() -> list[frozenset[int]]:
     return sorted(tets, key=lambda t: tuple(sorted(t)))
 
 
-def _face_to_face(a: frozenset[int], b: frozenset[int]) -> bool:
+@lru_cache(maxsize=None)
+def _signed_circuits(n: int) -> tuple[tuple[int, int], ...]:
+    """Signed circuits (Z+, Z-) of the n-cube's vertices, as vertex masks.
+
+    A vertex set of at most n + 2 points is a circuit when the integer
+    kernel of its columns (v, 1) is one vector with full support; its
+    signs give Z+ and Z-.  Each dependence sum lambda_v (v, 1) = 0 is
+    checked by substitution, and both orientations are listed.
+    """
+    points = [vertex_coords(v, n) + (1,) for v in all_vertices(n)]
+    circuits = []
+    for size in range(2, n + 3):
+        for subset in combinations(all_vertices(n), size):
+            kernel, _ = integer_kernel(Matrix(
+                [[points[v][i] for v in subset] for i in range(n + 1)]))
+            if len(kernel) != 1 or not all(kernel[0]):
+                continue
+            lam = kernel[0]
+            if any(sum(l * points[v][i] for l, v in zip(lam, subset))
+                   for i in range(n + 1)):
+                raise AssertionError(f"circuit {subset} failed "
+                                     "re-validation")
+            plus = sum(1 << v for l, v in zip(lam, subset) if l > 0)
+            minus = sum(1 << v for l, v in zip(lam, subset) if l < 0)
+            circuits += [(plus, minus), (minus, plus)]
+    return tuple(circuits)
+
+
+def _meet_properly(a: frozenset[int], b: frozenset[int]) -> bool:
     """conv(a) and conv(b) intersect exactly in the common face conv(a & b).
 
-    Checked by asking, for every vertex outside the shared set, whether a
-    common point can put positive barycentric weight on it.
+    For simplices a and b this fails exactly when some signed circuit has
+    Z+ inside a and Z- inside b (De Loera, Rambau, Santos,
+    *Triangulations*, 2010, ch. 4): its dependence, normalized, is a
+    common point whose barycentric weights use a vertex outside a & b.
     """
-    shared = a & b
-    va, vb = sorted(a), sorted(b)
-    base_eq = []
-    for x in range(N):
-        base_eq.append([vertex_coords(u, N)[x] for u in va]
-                       + [-vertex_coords(u, N)[x] for u in vb] + [0])
-    base_eq.append([1] * 4 + [0] * 4 + [-1])
-    base_eq.append([0] * 4 + [1] * 4 + [-1])
-    nonneg = [[int(i == j) for j in range(9)] for i in range(8)]
-    for side, order in ((0, va), (4, vb)):
-        for pos, u in enumerate(order):
-            if u in shared:
-                continue
-            pick = [int(j == side + pos) for j in range(9)]
-            system = LinearSystem.build(8, strict=[pick], weak=nonneg,
-                                        eq=base_eq)
-            if solve_feasibility(system) is not None:
-                return False
-    return True
+    am, bm = sum(1 << v for v in a), sum(1 << v for v in b)
+    return not any(plus & am == plus and minus & bm == minus
+                   for plus, minus in _signed_circuits(N))
 
 
 @lru_cache(maxsize=1)
@@ -146,7 +198,7 @@ def enumerate_triangulations_3cube() -> tuple[Triangulation, ...]:
     compat = [0] * m
     for i in range(m):
         for j in range(i + 1, m):
-            if _face_to_face(tets[i], tets[j]):
+            if _meet_properly(tets[i], tets[j]):
                 compat[i] |= 1 << j
                 compat[j] |= 1 << i
     vertex_bits = [sum(1 << v for v in t) for t in tets]
@@ -180,14 +232,6 @@ def enumerate_triangulations_3cube() -> tuple[Triangulation, ...]:
     return tuple(found)
 
 
-def _barycentric(cell: Sequence[int], target: int) -> list[Fraction]:
-    m = Matrix([[*vertex_coords(v, N), 1] for v in cell]).transpose()
-    coeffs = solve(m, [*vertex_coords(target, N), 1])
-    if coeffs is None:
-        raise AssertionError("degenerate cell in a triangulation")
-    return coeffs
-
-
 def fold_inequalities(t: Triangulation) -> list[tuple[Fraction, ...]]:
     """One linear functional per interior wall, positive on the open cone.
 
@@ -195,8 +239,10 @@ def fold_inequalities(t: Triangulation) -> list[tuple[Fraction, ...]]:
     the opposite vertex relative to the affine extension of the
     neighboring cell (minorant convention), giving
     fold(w) = w_e - sum(beta_x w_x) with beta the barycentric expression
-    of e in the neighbor.
+    of e in the neighbor, read off the neighbor's Cramer numerators
+    (:func:`_lift_evaluators`) as beta = lambda(e) / d.
     """
+    evaluators = {s: (d, lams) for s, d, lams in _lift_evaluators(N)}
     cells = t.sorted_cells()
     folds = []
     for a, b in combinations(cells, 2):
@@ -204,12 +250,12 @@ def fold_inequalities(t: Triangulation) -> list[tuple[Fraction, ...]]:
         if len(shared) != 3:
             continue
         e = next(iter(set(b) - shared))
-        beta = _barycentric(a, e)
-        row = [Q(0)] * len(CUBE)
-        row[e] = Q(1)
-        for coeff, x in zip(beta, a):
+        d, lams = evaluators[a]
+        row = [0] * len(CUBE)
+        row[e] = d
+        for coeff, x in zip(lams[e], a):
             row[x] -= coeff
-        folds.append(tuple(row))
+        folds.append(tuple(Q(x, d) for x in row))
     return folds
 
 

@@ -75,11 +75,6 @@ class Matrix:
         return Matrix([[self.data[i][j] for i in range(self.rows)]
                        for j in range(self.cols)])
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch")
-        return Matrix([self.data[i] + other.data[i] for i in range(self.rows)])
-
     def mat_vec(self, v: Sequence) -> list[Fraction]:
         vq = [_number(x) for x in v]
         if len(vq) != self.cols:

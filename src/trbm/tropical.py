@@ -12,13 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from operator import mul
 from random import Random
 from typing import Optional, Sequence, TextIO
 
-from .codes import code_to_slicings, hamming_code, shortened_hamming_code
+from .codes import (HAMMING_LIMIT, code_to_slicings, hamming_code,
+                    shortened_hamming_code)
 from .cube import (Slicing, all_vertices, enumerate_slicings, vertex_coords)
-from .linalg import Matrix, qtuple, rank
+from .linalg import Matrix, _int_rows, integer_kernel, qtuple, rank
 from .lp import LinearSystem, solve_feasibility
 from .parallel import parallel_map
 
@@ -80,21 +83,22 @@ class TropicalPoint:
 
 
 def tropical_morphism(params: TropParams) -> TropicalPoint:
-    """Best-score vector: max over hidden states, one value per v."""
-    n, k = params.n, params.k
+    """Best-score vector: max over hidden states, one value per v.
+
+    The score separates over hidden units, as in
+    :func:`inference_function`, so the max over h is
+    ``b.v + sum_i max(0, W_i.v + c_i)``.
+    """
+    n = params.n
     values = []
     for v in all_vertices(n):
         coords = vertex_coords(v, n)
         base = sum((params.visible_bias[j] * coords[j] for j in range(n)),
                    Q(0))
-        unit = [sum((params.weights[i][j] * coords[j] for j in range(n)),
-                    params.hidden_bias[i]) for i in range(k)]
-        best = None
-        for h in range(1 << k):
-            score = sum((unit[i] for i in range(k) if h >> (k - 1 - i) & 1),
-                        Q(0))
-            if best is None or score > best:
-                best = score
+        best = sum((max(Q(0), sum((row[j] * coords[j] for j in range(n)),
+                                  c))
+                    for row, c in zip(params.weights, params.hidden_bias)),
+                   Q(0))
         values.append(base + best)
     return TropicalPoint(n, tuple(values))
 
@@ -240,6 +244,9 @@ def _search_exhaustive(n, k, slicings, threads):
 
 
 def _code_slicings(n: int, k: int) -> tuple[Slicing, ...]:
+    top = (1 << HAMMING_LIMIT) - 1
+    if not 2 <= n <= top:
+        raise ValueError(f"code_based needs 2 <= n <= {top}, got n={n}")
     if n >= 3 and (n & (n + 1)) == 0:          # n = 2^ell - 1
         code = hamming_code((n + 1).bit_length() - 1)
     else:
@@ -317,34 +324,62 @@ def tropical_membership(q: TropicalPoint) -> MembershipResult:
     and a shift mu with q(v) = b.v + mu off C and q(v) = b.v + omega.v +
     c + mu on C, where omega.v + c >= 0 on C and <= 0 off C.  Cones are
     taken closed, so fan boundary points are members.
+
+    The equalities read E x = q with E fixed by C.  A slicing is skipped
+    without an LP when a vector y of the left kernel of E
+    (:func:`_membership_block`) has y.q != 0: then E x = q has no
+    solution.  Only infeasible systems are skipped and slicings are
+    tried in the same order, so the first feasible one and its witness
+    are those of one solve per slicing.
     """
     n = q.n
     if n > 4:
         raise ValueError("membership iterates all slicings; needs n <= 4")
+    [qs] = _int_rows([q.values])
     for s in enumerate_slicings(n):
+        _, _, left_kernel = _membership_block(n, s.mask)
+        if any(sum(map(mul, y, qs)) for y in left_kernel):
+            continue
         result = _membership_one(q, s)
         if result is not None:
             return result
     return MembershipResult(member=False)
 
 
+@lru_cache(maxsize=None)
+def _membership_block(n: int, mask: int):
+    """The rows of the membership system of the slicing ``mask``, without q.
+
+    Returns the equality block E (one row per vertex, over b, omega, c,
+    mu), the weak rows, and an integer basis of the left kernel of E,
+    each y of which is checked by substitution to satisfy y.E = 0.
+    """
+    zero = (0,) * n
+    eq, weak = [], []
+    for v in all_vertices(n):
+        coords = vertex_coords(v, n)
+        if mask >> v & 1:
+            eq.append(coords + coords + (1, 1))
+            weak.append(zero + coords + (1, 0, 0))
+        else:
+            eq.append(coords + zero + (0, 1))
+            weak.append(zero + tuple(-x for x in coords) + (-1, 0, 0))
+    left_kernel, _ = integer_kernel(Matrix(eq).transpose())
+    for y in left_kernel:
+        if any(sum(yv * row[j] for yv, row in zip(y, eq))
+               for j in range(2 * n + 2)):
+            raise AssertionError(f"left kernel vector {y} of slicing "
+                                 f"{mask:x} failed re-validation")
+    return tuple(eq), tuple(weak), tuple(map(tuple, left_kernel))
+
+
 def _membership_one(q: TropicalPoint,
                     s: Slicing) -> Optional[MembershipResult]:
     n = q.n
-    nv = 2 * n + 2      # variables: b (n), omega (n), c, mu
-    zero = [Q(0)] * n
-    eq, weak = [], []
-    for v in all_vertices(n):
-        coords = list(vertex_coords(v, n))
-        gate = coords + [Q(1)]
-        if v in s.positive:
-            eq.append(coords + coords + [Q(1), Q(1), -q.values[v]])
-            weak.append(zero + gate + [Q(0), Q(0)])
-        else:
-            eq.append(coords + zero + [Q(0), Q(1), -q.values[v]])
-            weak.append(zero + [-g for g in gate] + [Q(0), Q(0)])
-    witness = solve_feasibility(
-        LinearSystem.build(nv, weak=weak, eq=eq))
+    eq, weak, _ = _membership_block(n, s.mask)
+    witness = solve_feasibility(LinearSystem.build(
+        2 * n + 2, weak=weak,
+        eq=[row + (-x,) for row, x in zip(eq, q.values)]))
     if witness is None:
         return None
     return MembershipResult(True, s, witness[:n], witness[n:2 * n],

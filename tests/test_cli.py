@@ -74,6 +74,17 @@ def test_phi_and_infer(tmp_path, capsys):
     assert doc["map"] == {"00": "0", "01": "0", "10": "0", "11": "1"}
 
 
+def test_phi_with_forty_hidden_units(tmp_path, capsys):
+    # max over 2^40 hidden states, separated as sum_i max(0, W_i.v + c_i)
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(
+        {"W": [[str(i % 3 - 1), "1", str(-i % 2)] for i in range(40)],
+         "b": ["0", "0", "0"], "c": [f"-{i % 4}/2" for i in range(40)]}))
+    code, out, _ = run(capsys, "phi", "--params", str(params))
+    assert code == 0
+    assert out.split() == ["0", "5", "15", "30", "9/2", "11", "21", "34"]
+
+
 def test_infer_tie_is_invalid_input(tmp_path, capsys):
     params = tmp_path / "p.json"
     params.write_text(json.dumps(
@@ -335,6 +346,14 @@ def test_dim_n_below_one_exits_2(strategy, capsys):
                          "--strategy", strategy)
     assert (code, out) == (2, "")
     assert err == "error: dim needs n >= 1, got n=0\n"
+
+
+@pytest.mark.parametrize("n", ["1", "16"])
+def test_dim_code_based_n_outside_its_range_exits_2(n, capsys):
+    code, out, err = run(capsys, "dim", "--n", n, "--k", "1",
+                         "--strategy", "code_based")
+    assert (code, out) == (2, "")
+    assert err == f"error: code_based needs 2 <= n <= 15, got n={n}\n"
 
 
 @pytest.mark.parametrize("value", ["1/0", "abc"])

@@ -1,17 +1,70 @@
+from collections import Counter
 from fractions import Fraction as Q
+from itertools import combinations
 from random import Random
 
 import pytest
 
+from trbm import fan
+from trbm.cube import all_vertices, vertex_coords
 from trbm.fan import (SimplicialComplexData,
                       enumerate_triangulations_3cube, facet_orbit_is_single,
                       fold_inequalities, lineality_dimension,
                       model_facet_subdivisions, model_roundtrip_points,
                       reduced_homology_ranks, regular_subdivision_from_lift,
-                      regularity_witness, secondary_sphere_fvector,
-                      tet_volume_units, tm13_subcomplex, complex_to_json,
-                      triangulation_lines)
+                      regularity_witness, secondary_fan_faces,
+                      secondary_sphere_fvector, tet_volume_units,
+                      tm13_subcomplex, complex_to_json, triangulation_lines)
+from trbm.linalg import Matrix, qtuple, rank, solve
+from trbm.lp import LinearSystem, solve_feasibility
 from trbm.tropical import TropParams, tropical_morphism
+
+
+def rank_solve_subdivision(w, n=3):
+    """Oracle: cells from a rank test and a solve on every vertex
+    (n + 1)-subset, with the minorant test evaluated in Fractions."""
+    heights = qtuple(w)
+    verts = list(all_vertices(n))
+    touching = set()
+    for subset in combinations(verts, n + 1):
+        m = Matrix([list(vertex_coords(v, n)) + [1] for v in subset])
+        if rank(m) != n + 1:
+            continue
+        alpha = solve(m, [heights[v] for v in subset])
+        values = [sum((alpha[j] * x for j, x in
+                       enumerate(vertex_coords(v, n))), alpha[n])
+                  for v in verts]
+        if any(values[v] > heights[v] for v in verts):
+            continue
+        touching.add(frozenset(v for v in verts
+                               if values[v] == heights[v]))
+    return frozenset(t for t in touching
+                     if not any(t < other for other in touching))
+
+
+def lp_face_to_face(a, b):
+    """Oracle: conv(a) and conv(b) meet in conv(a & b), decided by one LP
+    per vertex outside the shared set (can a common point put positive
+    barycentric weight on it?)."""
+    shared = a & b
+    va, vb = sorted(a), sorted(b)
+    base_eq = []
+    for x in range(3):
+        base_eq.append([vertex_coords(u, 3)[x] for u in va]
+                       + [-vertex_coords(u, 3)[x] for u in vb] + [0])
+    base_eq.append([1] * 4 + [0] * 4 + [-1])
+    base_eq.append([0] * 4 + [1] * 4 + [-1])
+    nonneg = [[int(i == j) for j in range(9)] for i in range(8)]
+    for side, order in ((0, va), (4, vb)):
+        for pos, u in enumerate(order):
+            if u in shared:
+                continue
+            pick = [int(j == side + pos) for j in range(9)]
+            system = LinearSystem.build(8, strict=[pick], weak=nonneg,
+                                        eq=base_eq)
+            if solve_feasibility(system) is not None:
+                return False
+    return True
 
 
 def test_trivial_subdivision():
@@ -161,3 +214,95 @@ def test_triangulation_export_lines():
 def test_volume_units():
     assert tet_volume_units({0, 1, 2, 4}) == 1
     assert tet_volume_units({1, 2, 4, 7}) == 2
+
+
+def test_subdivision_matches_rank_solve_oracle_on_witnesses():
+    for t in enumerate_triangulations_3cube():
+        witness = regularity_witness(t)
+        assert regular_subdivision_from_lift(witness).cells \
+            == rank_solve_subdivision(witness) == t.cells
+
+
+def test_subdivision_matches_rank_solve_oracle_on_face_lifts():
+    # the relative-interior lifts secondary_fan_faces evaluates, one per
+    # feasible subset of each triangulation's walls
+    lifts = []
+    for t in enumerate_triangulations_3cube():
+        folds = fold_inequalities(t)
+        for size in range(len(folds) + 1):
+            for subset in combinations(range(len(folds)), size):
+                point = fan._face_point(folds, subset)
+                if point is not None:
+                    lifts.append(point)
+    assert len(lifts) == 1208
+    faces = {f.subdivision for f in secondary_fan_faces()}
+    for w in Random(6).sample(lifts, 300):
+        cells = regular_subdivision_from_lift(w).cells
+        assert cells == rank_solve_subdivision(w)
+        assert cells in faces
+
+
+def test_subdivision_matches_rank_solve_oracle_on_lifts_with_ties():
+    rng = Random(11)
+    coarse = 0
+    for _ in range(100):
+        w = [Q(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(8)]
+        cells = regular_subdivision_from_lift(w).cells
+        assert cells == rank_solve_subdivision(w)
+        coarse += any(len(c) > 4 for c in cells)
+    assert coarse > 30  # ties leave cells that are not simplices
+
+
+def test_signed_circuits_of_the_cube():
+    # 12 planar quadruples a + b = c + d, and 8 five-point circuits: a
+    # regular tetrahedron against its center reached from a fifth vertex
+    circuits = fan._signed_circuits(3)
+    sizes = Counter((bin(p).count("1"), bin(m).count("1"))
+                    for p, m in circuits)
+    assert sizes == {(2, 2): 24, (2, 3): 8, (3, 2): 8}
+    assert all((m, p) in circuits for p, m in circuits)
+
+
+def test_circuit_criterion_matches_lp_oracle_on_all_pairs():
+    tets = fan._candidate_tets()
+    pairs = list(combinations(tets, 2))
+    assert len(pairs) == 1653
+    proper = 0
+    for a, b in pairs:
+        meet = fan._meet_properly(a, b)
+        assert meet == fan._meet_properly(b, a) == lp_face_to_face(a, b)
+        proper += meet
+    assert 0 < proper < len(pairs)
+
+
+def test_corrupted_circuit_fails_revalidation(monkeypatch):
+    real = fan.integer_kernel
+
+    def corrupted(m):
+        basis, d = real(m)
+        return [[v[0] + 1] + v[1:] for v in basis], d
+
+    fan._signed_circuits.cache_clear()
+    monkeypatch.setattr(fan, "integer_kernel", corrupted)
+    try:
+        with pytest.raises(AssertionError, match="circuit"):
+            fan._signed_circuits(3)
+    finally:
+        fan._signed_circuits.cache_clear()
+
+
+def test_corrupted_cramer_numerators_fail_revalidation(monkeypatch):
+    real = fan._eliminate
+
+    def corrupted(a, ncols, jordan):
+        result = real(a, ncols, jordan)
+        a[0][-1] += 1
+        return result
+
+    fan._lift_evaluators.cache_clear()
+    monkeypatch.setattr(fan, "_eliminate", corrupted)
+    try:
+        with pytest.raises(AssertionError, match="Cramer"):
+            fan._lift_evaluators(3)
+    finally:
+        fan._lift_evaluators.cache_clear()

@@ -4,10 +4,12 @@ from random import Random
 
 import pytest
 
+from trbm import tropical
 from trbm.cube import all_vertices, enumerate_slicings, is_slicing, \
     vertex_coords
-from trbm.linalg import rank, rank_bareiss
-from trbm.tropical import (AmbiguousArgmax, TropParams, TropicalPoint,
+from trbm.linalg import Matrix, rank, rank_bareiss
+from trbm.tropical import (AmbiguousArgmax, MembershipResult, TropParams,
+                           TropicalPoint, _membership_block, _membership_one,
                            count_inference_functions, inference_function,
                            read_tropical_point, slicing_matrix,
                            tropical_dimension, tropical_membership,
@@ -22,19 +24,33 @@ def random_params(n, k, rng, denom=2):
         [Q(rng.randint(-6, 6), rng.randint(1, denom)) for _ in range(k)])
 
 
-def unitwise_oracle(params):
-    """Score vector via the per-unit decomposition max(0, W_i.v + c_i)."""
+def hidden_state_oracle(params):
+    """Score vector as the max over all 2^k hidden states h."""
+    n, k = params.n, params.k
     values = []
-    for v in all_vertices(params.n):
-        coords = vertex_coords(v, params.n)
-        total = sum((params.visible_bias[j] * coords[j]
-                     for j in range(params.n)), Q(0))
-        for i in range(params.k):
-            act = sum((params.weights[i][j] * coords[j]
-                       for j in range(params.n)), params.hidden_bias[i])
-            total += max(Q(0), act)
-        values.append(total)
-    return TropicalPoint(params.n, tuple(values))
+    for v in all_vertices(n):
+        coords = vertex_coords(v, n)
+        base = sum((params.visible_bias[j] * coords[j] for j in range(n)),
+                   Q(0))
+        unit = [sum((params.weights[i][j] * coords[j] for j in range(n)),
+                    params.hidden_bias[i]) for i in range(k)]
+        best = None
+        for h in range(1 << k):
+            score = sum((unit[i] for i in range(k) if h >> (k - 1 - i) & 1),
+                        Q(0))
+            if best is None or score > best:
+                best = score
+        values.append(base + best)
+    return TropicalPoint(n, tuple(values))
+
+
+def lp_only_membership(q):
+    """Oracle: one feasibility LP per slicing, in census order."""
+    for s in enumerate_slicings(q.n):
+        result = _membership_one(q, s)
+        if result is not None:
+            return result
+    return MembershipResult(member=False)
 
 
 def test_morphism_zero_params():
@@ -47,12 +63,13 @@ def test_morphism_half_margin_example():
     assert tropical_morphism(p).values == (0, 0, 0, Q(1, 2))
 
 
-def test_morphism_matches_unitwise_oracle():
+def test_morphism_matches_hidden_state_oracle():
     rng = Random(17)
-    for _ in range(60):
-        p = random_params(3, 2, rng)
-        assert tropical_morphism(p) == unitwise_oracle(p)
-        assert tropical_morphism(p).values == unitwise_oracle(p).values
+    for k in (1, 2, 3, 4, 5):
+        for _ in range(12):
+            p = random_params(3, k, rng)
+            assert tropical_morphism(p).values \
+                == hidden_state_oracle(p).values
 
 
 def test_shift_invariance():
@@ -231,3 +248,60 @@ def test_tropical_point_file_roundtrip():
     write_tropical_point(q, buf)
     buf.seek(0)
     assert read_tropical_point(buf).values == q.values
+
+
+def test_membership_matches_lp_only_oracle_on_images():
+    # the 200 images of acceptance criterion 9a
+    rng = Random(99)
+    for _ in range(200):
+        params = TropParams.build(
+            [[Q(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(3)]],
+            [Q(rng.randint(-8, 8), rng.randint(1, 3)) for _ in range(3)],
+            [Q(rng.randint(-8, 8), rng.randint(1, 3))])
+        q = tropical_morphism(params)
+        res = tropical_membership(q)
+        assert res.member and res == lp_only_membership(q)
+
+
+def test_membership_matches_lp_only_oracle_on_lifts():
+    rng = Random(21)
+    members = 0
+    for i in range(30):
+        denom = 1 if i % 2 else 3
+        q = TropicalPoint.build(
+            3, [Q(rng.randint(-60, 60), rng.randint(1, denom))
+                for _ in range(8)])
+        res = tropical_membership(q)
+        assert res == lp_only_membership(q)
+        members += res.member
+    assert 0 < members < 30
+
+
+def test_left_kernel_refutes_only_inconsistent_equalities():
+    parity = TropicalPoint.build(
+        3, [1 if bin(v).count("1") % 2 == 0 else 0 for v in all_vertices(3)])
+    refuted = 0
+    for s in enumerate_slicings(3):
+        eq, _, left_kernel = _membership_block(3, s.mask)
+        if any(sum(y * x for y, x in zip(vec, parity.values))
+               for vec in left_kernel):
+            refuted += 1
+            assert _membership_one(parity, s) is None
+        assert len(left_kernel) == 8 - rank(Matrix(eq))
+    assert 0 < refuted < 104
+
+
+def test_corrupted_left_kernel_fails_revalidation(monkeypatch):
+    real = tropical.integer_kernel
+
+    def corrupted(m):
+        basis, d = real(m)
+        return [[v[0] + 1] + v[1:] for v in basis], d
+
+    _membership_block.cache_clear()
+    monkeypatch.setattr(tropical, "integer_kernel", corrupted)
+    try:
+        with pytest.raises(AssertionError, match="left kernel"):
+            tropical_membership(TropicalPoint.build(3, [1, 0] * 4))
+    finally:
+        _membership_block.cache_clear()
