@@ -38,7 +38,7 @@ class BinaryCode:
 
 
 def hamming_distance(a: int, b: int) -> int:
-    return bin(a ^ b).count("1")
+    return (a ^ b).bit_count()
 
 
 def min_distance(code: BinaryCode) -> int:
@@ -47,13 +47,10 @@ def min_distance(code: BinaryCode) -> int:
     if len(words) < 2:
         raise ValueError("minimum distance undefined for a singleton code")
     best = code.n + 1
-    for i, a in enumerate(words):
-        for b in words[i + 1:]:
-            d = hamming_distance(a, b)
-            if d < best:
-                best = d
-                if best == 1:
-                    return best
+    for i, a in enumerate(words[:-1]):
+        best = min(best, min((a ^ b).bit_count() for b in words[i + 1:]))
+        if best == 1:
+            return best
     return best
 
 
@@ -146,22 +143,32 @@ def covering_upper(n: int) -> int:
 
 
 def code_to_slicings(code: BinaryCode) -> list[Slicing]:
-    """One slicing per codeword: its radius-1 Hamming ball.
+    """One slicing per codeword, in sorted order: its radius-1 Hamming
+    ball (:func:`ball_slicing`), for a code checked by
+    :func:`ball_centers`."""
+    return [ball_slicing(w, code.n) for w in ball_centers(code)]
 
-    The ball around w is cut off by omega_j = 2 w_j - 1 and
-    c = 3/2 - weight(w), since then omega.v + c = 3/2 - d(v, w).
+
+def ball_centers(code: BinaryCode) -> list[int]:
+    """The sorted codewords, once their radius-1 balls are disjoint.
+
     Requires minimum distance >= 3 so the balls are pairwise disjoint;
     a singleton code is allowed (disjointness is vacuous).
     """
     if len(code.words) > 1 and min_distance(code) < 3:
         raise ValueError("balls overlap: minimum distance below 3")
-    n = code.n
-    out = []
-    for w in code.sorted_words():
-        ball = frozenset([w] + [w ^ (1 << j) for j in range(n)])
-        omega = tuple(Q(2 * x - 1) for x in vertex_coords(w, n))
-        out.append(Slicing(n, ball, omega, Q(3, 2) - vertex_weight(w)))
-    return out
+    return code.sorted_words()
+
+
+def ball_slicing(w: int, n: int) -> Slicing:
+    """The radius-1 Hamming ball around the word w of length n.
+
+    The ball is cut off by omega_j = 2 w_j - 1 and c = 3/2 - weight(w),
+    since then omega.v + c = 3/2 - d(v, w).
+    """
+    ball = frozenset([w] + [w ^ (1 << j) for j in range(n)])
+    omega = tuple(Q(2 * x - 1) for x in vertex_coords(w, n))
+    return Slicing(n, ball, omega, Q(3, 2) - vertex_weight(w))
 
 
 def exact_packing_size(n: int) -> int:

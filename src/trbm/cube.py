@@ -71,16 +71,23 @@ class Slicing:
         if len(self.omega) != self.n:
             raise ValueError("witness length mismatch")
         # the margins times the witness's common denominator D > 0 keep
-        # their signs and are the integers C + sum(W_j for the set bits)
+        # their signs and are the integers C + sum(W_j for the set bits);
+        # each weight, the last coordinate's first, doubles the list, so
+        # coordinate 1 ends as the most significant bit
         [(const, *weights)] = _int_rows([(self.c, *self.omega)])
         margins = [const]
-        for w in weights:  # coordinate 1 ends as the most significant bit
-            margins = [m + b for m in margins for b in (0, w)]
-        positive = self.mask
-        for v, value in enumerate(margins):
-            if value == 0 or (value > 0) != bool(positive >> v & 1):
-                raise ValueError(
-                    f"witness does not separate vertex {v:0{self.n}b}")
+        for w in reversed(weights):
+            margins += [m + w for m in margins]
+        positive = self.positive
+        if 0 in margins or positive != {
+                v for v, value in enumerate(margins) if value > 0}:
+            bad = next((v for v, value in enumerate(margins)
+                        if value == 0 or (value > 0) != (v in positive)),
+                       None)
+            if bad is None:
+                raise ValueError("positive set holds a non-vertex")
+            raise ValueError(
+                f"witness does not separate vertex {bad:0{self.n}b}")
 
     def margin(self, v: int) -> Fraction:
         coords = vertex_coords(v, self.n)
@@ -221,18 +228,20 @@ def _enumerate_arrangement(n: int, threads: int) -> list[Slicing]:
     # the strict row of each vertex on its negative (0) and positive side
     sided = [(tuple(-x for x in plane) + (0,), plane + (0,))
              for plane in planes]
+    # a region is (mask, witness, the witness times the lcm of its
+    # denominators); the scaled witness has the same signs on each plane
     zero = tuple(Q(0) for _ in range(n + 1))
-    regions: list[tuple[int, tuple[Fraction, ...]]] = [(0, zero)]
+    regions = [(0, zero, (0,) * (n + 1))]
     for k, plane in enumerate(planes):
         inserted = (1 << (k + 1)) - 1
         jobs = []
         keep = []
-        for pos, point in regions:
-            value = sum(map(mul, plane, point))
+        for pos, point, scaled in regions:
+            value = sum(map(mul, plane, scaled))
             side = 1 if value > 0 else (-1 if value < 0 else 0)
             sides_to_test = (1, -1) if side == 0 else (-side,)
             if side != 0:
-                keep.append((pos | (side > 0) << k, point, None))
+                keep.append((pos | (side > 0) << k, (point, scaled), None))
             for cand in sides_to_test:
                 cand_pos = pos | (cand > 0) << k
                 if _refuted(cand_pos, inserted ^ cand_pos, n):
@@ -245,13 +254,14 @@ def _enumerate_arrangement(n: int, threads: int) -> list[Slicing]:
         results = [w for batch in parallel_map(_flip_chunk, batches, threads)
                    for w in batch]
         regions = []
-        for pos, point, job_id in keep:
-            if point is not None:
-                regions.append((pos, point))
+        for pos, kept, job_id in keep:
+            if kept is not None:
+                regions.append((pos, *kept))
             elif results[job_id] is not None:
-                regions.append((pos, results[job_id]))
+                point = results[job_id]
+                regions.append((pos, point, *_int_rows([point])))
     slicings = []
-    for mask, point in regions:
+    for mask, point, _ in regions:
         pos = frozenset(v for v in all_vertices(n) if mask >> v & 1)
         slicings.append(Slicing(n, pos, point[:n], point[n]))
     return sorted(slicings, key=Slicing.sort_key)

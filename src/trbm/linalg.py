@@ -12,6 +12,8 @@ formed until a kernel vector or a solution is returned as rationals.
 rows, each scaled by the lcm of its denominators.  Rational
 Gauss-Jordan (:func:`rref`) and fraction-free Bareiss rank
 (:func:`rank_bareiss`) share no code with it; they serve as its oracles.
+:func:`rank_01` ranks 0/1 matrices held as bitset columns over GF(2)
+first and calls :func:`rank` only when that rank is not certified.
 """
 
 from __future__ import annotations
@@ -165,6 +167,44 @@ def _eliminate(a: list[list[int]], ncols: int,
 def rank(m: Matrix) -> int:
     """Exact rank over Q by fraction-free elimination."""
     return len(_eliminate(_int_rows(m.data), m.cols, jordan=False)[0])
+
+
+def rank_gf2(columns: Sequence[int], nrows: int) -> int:
+    """Rank over GF(2) of the 0/1 matrix with ``nrows`` rows whose column
+    j has bit i set exactly when entry (i, j) is 1.
+
+    Each column is reduced by XOR with the kept column that has the same
+    leading bit, until its leading bit is new or it vanishes.  The scan
+    stops once the rank reaches min(nrows, len(columns)).
+    """
+    bound = min(nrows, len(columns))
+    pivots: dict[int, int] = {}
+    for col in columns:
+        while col:
+            top = col.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = col
+                if len(pivots) == bound:
+                    return bound
+                break
+            col ^= pivot
+    return len(pivots)
+
+
+def rank_01(columns: Sequence[int], nrows: int) -> int:
+    """Exact rank over Q of the 0/1 matrix given as in :func:`rank_gf2`.
+
+    A minor that is odd is a nonzero integer, so the GF(2) rank is at
+    most the rational rank.  When it reaches min(nrows, len(columns)) it
+    is therefore the exact rank; otherwise the rows are rebuilt from the
+    bits and ranked by the integer core.
+    """
+    certified = rank_gf2(columns, nrows)
+    if certified == min(nrows, len(columns)):
+        return certified
+    return rank(Matrix([[col >> i & 1 for col in columns]
+                        for i in range(nrows)]))
 
 
 def rank_bareiss(m: Matrix) -> int:

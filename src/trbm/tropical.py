@@ -18,10 +18,10 @@ from operator import mul
 from random import Random
 from typing import Optional, Sequence, TextIO
 
-from .codes import (HAMMING_LIMIT, code_to_slicings, hamming_code,
-                    shortened_hamming_code)
+from .codes import (HAMMING_LIMIT, ball_centers, ball_slicing,
+                    hamming_code, shortened_hamming_code)
 from .cube import (Slicing, all_vertices, enumerate_slicings, vertex_coords)
-from .linalg import Matrix, _int_rows, integer_kernel, qtuple, rank
+from .linalg import Matrix, _int_rows, integer_kernel, qtuple, rank_01
 from .lp import LinearSystem, solve_feasibility
 from .parallel import parallel_map
 
@@ -166,6 +166,46 @@ def slicing_matrix(n: int, slicings: Sequence[Slicing]) -> Matrix:
     return Matrix(_slicing_rows(n, [s.mask for s in slicings]))
 
 
+@lru_cache(maxsize=None)
+def _coordinate_columns(n: int) -> tuple[int, ...]:
+    """The columns of A as bitsets over the vertices: bit v of column j
+    is coordinate j + 1 of vertex v.
+
+    That coordinate is bit ``half = 2^(n-1-j)`` of the index, so along
+    the vertices it repeats ``half`` zeros then ``half`` ones; dividing
+    the all-ones mask by the all-ones period places one copy per period.
+    """
+    full = (1 << (1 << n)) - 1
+    columns = []
+    for j in range(n):
+        half = 1 << (n - 1 - j)
+        columns.append(full // ((1 << 2 * half) - 1)
+                       * (((1 << half) - 1) << half))
+    return tuple(columns)
+
+
+def _rank_bound(n: int, k: int) -> int:
+    """min(2^n, n + k(n+1)): the shape bound on any slicing-matrix rank."""
+    return min(1 << n, n + k * (n + 1))
+
+
+def _slicing_rank(n: int, masks: Sequence[int]) -> int:
+    """Exact rank of the slicing matrix of ``masks``, by :func:`rank_01`.
+
+    The block of slicing C is its mask and the mask restricted to each
+    coordinate column.  Columns are ranked block by block and A last:
+    the order leaves the rank unchanged, and blocks with disjoint
+    supports, as code balls are, eliminate without touching each other.
+    """
+    coords = _coordinate_columns(n)
+    columns = []
+    for mask in masks:
+        columns.append(mask)
+        columns.extend(mask & col for col in coords)
+    columns.extend(coords)
+    return rank_01(columns, 1 << n)
+
+
 @dataclass(frozen=True)
 class DimensionResult:
     n: int
@@ -177,13 +217,20 @@ class DimensionResult:
     witness: tuple[Slicing, ...]
 
 
-def _rank_chunk(args) -> tuple[int, int]:
-    n, masks, combos = args
-    best_rank, best_idx = 0, -1
+def _rank_chunk(args) -> tuple[int, tuple[int, ...]]:
+    """The highest rank in a chunk and its first combination.
+
+    No rank exceeds the shape bound, so the chunk stops at the first
+    combination that reaches it; the result is that of a full scan.
+    """
+    n, bound, masks, combos = args
+    best_rank, best_idx = 0, ()
     for idx in combos:
-        r = rank(Matrix(_slicing_rows(n, [masks[i] for i in idx])))
+        r = _slicing_rank(n, [masks[i] for i in idx])
         if r > best_rank:
             best_rank, best_idx = r, idx
+            if r == bound:
+                break
     return best_rank, best_idx
 
 
@@ -212,7 +259,7 @@ def tropical_dimension(n: int, k: int, strategy: str = "exhaustive",
         certified = True
     elif strategy == "code_based":
         witness = _code_slicings(n, k)
-        max_rank = rank(slicing_matrix(n, witness))
+        max_rank = _slicing_rank(n, [s.mask for s in witness])
         certified = False
     elif strategy == "greedy_random":
         max_rank, witness = _search_greedy(n, k, seed, restarts)
@@ -220,11 +267,10 @@ def tropical_dimension(n: int, k: int, strategy: str = "exhaustive",
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    expected = min(n * k + n + k, 1 << n)
-    if max_rank > expected:
+    if max_rank > _rank_bound(n, k):
         raise AssertionError("rank exceeded the parameter-count bound")
     dim = min(max_rank, (1 << n) - 1)
-    if dim == min(n * k + n + k, (1 << n) - 1):
+    if dim == min(_rank_bound(n, k), (1 << n) - 1):
         certified = True
     return DimensionResult(n, k, strategy, max_rank, dim, certified,
                            tuple(witness))
@@ -234,7 +280,7 @@ def _search_exhaustive(n, k, slicings, threads):
     combos = list(combinations(range(len(slicings)), k))
     masks = [s.mask for s in slicings]
     chunk = max(1, len(combos) // max(1, threads * 8))
-    batches = [(n, masks, combos[i:i + chunk])
+    batches = [(n, _rank_bound(n, k), masks, combos[i:i + chunk])
                for i in range(0, len(combos), chunk)]
     best_rank, best_idx = 0, None
     for r, idx in parallel_map(_rank_chunk, batches, threads):
@@ -251,12 +297,12 @@ def _code_slicings(n: int, k: int) -> tuple[Slicing, ...]:
         code = hamming_code((n + 1).bit_length() - 1)
     else:
         code = shortened_hamming_code(n)
-    balls = code_to_slicings(code)
-    if k > len(balls):
+    centers = ball_centers(code)
+    if k > len(centers):
         raise ValueError(
-            f"code of size {len(balls)} cannot seed k={k} slicings; "
+            f"code of size {len(centers)} cannot seed k={k} slicings; "
             "use greedy_random")
-    return tuple(balls[:k])
+    return tuple(ball_slicing(w, n) for w in centers[:k])
 
 
 def _random_slicing(n: int, rng: Random) -> Slicing:
@@ -274,7 +320,7 @@ def _random_slicing(n: int, rng: Random) -> Slicing:
 
 def _search_greedy(n, k, seed, restarts):
     rng = Random(seed)
-    target = min(n * k + n + k, 1 << n)
+    target = _rank_bound(n, k)
     try:
         seed_slicings = list(_code_slicings(n, k))
     except ValueError:
@@ -285,14 +331,14 @@ def _search_greedy(n, k, seed, restarts):
             current = list(seed_slicings)
         else:
             current = [_random_slicing(n, rng) for _ in range(k)]
-        cur_rank = rank(slicing_matrix(n, current))
+        cur_rank = _slicing_rank(n, [s.mask for s in current])
         for _ in range(60 * k):
             if cur_rank == target:
                 break
             pos = rng.randrange(k)
             cand = current.copy()
             cand[pos] = _random_slicing(n, rng)
-            cand_rank = rank(slicing_matrix(n, cand))
+            cand_rank = _slicing_rank(n, [s.mask for s in cand])
             if cand_rank > cur_rank:
                 current, cur_rank = cand, cand_rank
         if cur_rank > best_rank:

@@ -99,6 +99,13 @@ def test_dim_json(capsys):
     assert len(doc["witness"]) == 1
 
 
+def test_dim_n15_code_based_certified(capsys):
+    doc = run_json(capsys, "dim", "dim", "--n", "15", "--k", "8",
+                   "--strategy", "code_based")
+    assert (doc["dim"], doc["max_rank"], doc["certified"]) == (143, 143, True)
+    assert len(doc["witness"]) == 8
+
+
 def test_dim_greedy_deterministic(capsys):
     args = ("dim", "--n", "3", "--k", "1", "--strategy", "greedy_random",
             "--seed", "5", "--json")

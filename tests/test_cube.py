@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from trbm.codes import ball_slicing
 from trbm.cube import (Slicing, _parallelogram, all_vertices,
                        count_zonotope_facets, cube_symmetries,
                        enumerate_slicings, is_slicing, read_slicings,
@@ -225,3 +226,21 @@ def test_slicing_check_agrees_with_fraction_margins():
         else:
             with pytest.raises(ValueError):
                 Slicing(n, positive, omega, c)
+
+
+def test_slicing_check_on_a_ball_of_the_15_cube():
+    n, w = 15, 0b101100111000101
+    ball = ball_slicing(w, n)
+    assert ball.positive == {w} | {w ^ 1 << j for j in range(n)}
+    assert ball.margin(w) == Q(3, 2) and ball.margin(w ^ 0b11) == Q(-1, 2)
+    with pytest.raises(ValueError, match=f"vertex {w ^ 0b11:015b}"):
+        Slicing(n, ball.positive | {w ^ 0b11}, ball.omega, ball.c)
+    with pytest.raises(ValueError, match=f"vertex {w ^ 1:015b}"):
+        Slicing(n, ball.positive - {w ^ 1}, ball.omega, ball.c)
+    with pytest.raises(ValueError, match=f"vertex {w ^ 1 << 14:015b}"):
+        Slicing(n, ball.positive, ball.omega, ball.c - Q(1, 2))  # margin 0
+
+
+def test_slicing_rejects_a_non_vertex():
+    with pytest.raises(ValueError, match="non-vertex"):
+        Slicing(2, frozenset({3, 4}), (Q(1), Q(1)), Q(-3, 2))

@@ -1,15 +1,19 @@
 import io
 from fractions import Fraction as Q
+from itertools import combinations
 from random import Random
 
 import pytest
 
-from trbm import tropical
+from trbm import linalg, tropical
+from trbm.codes import code_to_slicings, hamming_code
 from trbm.cube import all_vertices, enumerate_slicings, is_slicing, \
     vertex_coords
 from trbm.linalg import Matrix, rank, rank_bareiss
 from trbm.tropical import (AmbiguousArgmax, MembershipResult, TropParams,
-                           TropicalPoint, _membership_block, _membership_one,
+                           TropicalPoint, _code_slicings,
+                           _coordinate_columns, _membership_block,
+                           _membership_one, _slicing_rank,
                            count_inference_functions, inference_function,
                            read_tropical_point, slicing_matrix,
                            tropical_dimension, tropical_membership,
@@ -169,6 +173,87 @@ def test_slicing_matrix_rank_permutation_invariant():
                 if len(s.positive) in (2, 3, 4)][:3]
     base = rank(slicing_matrix(3, slicings))
     assert base == rank(slicing_matrix(3, slicings[::-1]))
+
+
+def full_scan_oracle(n, k, slicings):
+    """(max rank, first witness) over every k-subset, ranked by Bareiss."""
+    best, witness = 0, None
+    for combo in combinations(slicings, k):
+        r = rank_bareiss(slicing_matrix(n, combo))
+        if r > best:
+            best, witness = r, combo
+    return best, witness
+
+
+def test_coordinate_columns_are_the_columns_of_a():
+    for n in range(1, 7):
+        expected = tuple(sum(vertex_coords(v, n)[j] << v
+                             for v in all_vertices(n)) for j in range(n))
+        assert _coordinate_columns(n) == expected
+
+
+def test_slicing_rank_matches_the_matrix_rank(monkeypatch):
+    fallbacks = []
+
+    def counted(m):
+        fallbacks.append(m.rows)
+        return rank(m)
+
+    monkeypatch.setattr(linalg, "rank", counted)
+    rng = Random(41)
+    cases = [(3, (s.mask,)) for s in enumerate_slicings(3)]
+    for _ in range(150):              # any masks, not only slicings
+        n = rng.randint(1, 4)
+        masks = tuple(rng.getrandbits(1 << n)
+                      for _ in range(rng.randint(0, 3)))
+        cases.append((n, masks))
+    for n, masks in cases:
+        m = Matrix(tropical._slicing_rows(n, masks))
+        assert _slicing_rank(n, masks) == rank(m) == rank_bareiss(m)
+    assert fallbacks                  # GF(2) fell short on some of them
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_stopped_search_matches_full_scan(k, threads):
+    r = tropical_dimension(3, k, threads=threads)
+    assert (r.max_rank, r.witness) == full_scan_oracle(
+        3, k, enumerate_slicings(3))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_search_below_the_bound_keeps_the_first_witness(threads):
+    few = enumerate_slicings(3)[:20]  # at most two vertices: rank <= 7 < 8
+    best = full_scan_oracle(3, 2, few)
+    assert best[0] == 7
+    assert tropical._search_exhaustive(3, 2, few, threads) == best
+
+
+def test_search_stops_at_the_shape_bound(monkeypatch):
+    calls = []
+
+    def counted(n, masks):
+        calls.append(masks)
+        return _slicing_rank(n, masks)
+
+    monkeypatch.setattr(tropical, "_slicing_rank", counted)
+    r = tropical_dimension(3, 2)
+    assert r.max_rank == 8
+    assert len(calls) < 5356 // 4     # of the C(104, 2) = 5,356 pairs
+
+
+def test_code_slicings_build_only_the_first_k(monkeypatch):
+    built = []
+    ball = tropical.ball_slicing
+
+    def counted(w, n):
+        built.append(w)
+        return ball(w, n)
+
+    monkeypatch.setattr(tropical, "ball_slicing", counted)
+    assert _code_slicings(7, 5) == tuple(code_to_slicings(hamming_code(3))[:5])
+    assert len(built) == 5
+    assert len(_code_slicings(15, 3)) == 3 and len(built) == 8
 
 
 def test_dimension_exhaustive_small():
