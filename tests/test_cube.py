@@ -5,11 +5,11 @@ from random import Random
 import pytest
 
 from trbm.codes import ball_slicing
-from trbm.cube import (Slicing, _parallelogram, all_vertices,
-                       count_zonotope_facets, cube_symmetries,
-                       enumerate_slicings, is_slicing, read_slicings,
-                       subset_mask, vertex_coords, vertex_index,
-                       write_slicings)
+from trbm.cube import (Slicing, _enumerate_arrangement, _enumerate_brute,
+                       _parallelogram, all_vertices, count_zonotope_facets,
+                       cube_symmetries, enumerate_slicings, is_slicing,
+                       read_slicings, subset_mask, vertex_coords,
+                       vertex_index, write_slicings)
 from trbm.lp import LinearSystem, solve_feasibility
 
 
@@ -117,9 +117,14 @@ def test_enumeration_guards():
 
 
 def test_threads_match_single():
-    single = enumerate_slicings(3, threads=1)
-    multi = enumerate_slicings(3, threads=2)
-    assert [s.mask for s in single] == [s.mask for s in multi]
+    # uncached runs, so that the threaded ones really start pools
+    for enumerate_ in (_enumerate_arrangement, _enumerate_brute):
+        single = enumerate_(3, 1)
+        multi = enumerate_(3, 2)
+        assert [(s.mask, s.omega, s.c) for s in single] \
+            == [(s.mask, s.omega, s.c) for s in multi]
+        assert [s.mask for s in single] \
+            == [s.mask for s in enumerate_slicings(3, threads=2)]
 
 
 def test_slicing_file_roundtrip():
