@@ -400,11 +400,8 @@ def cmd_fan(args) -> int:
         return 0
     if args.fan_op == "homology":
         if args.complex:
-            doc = _load_json(args.complex)
-            complex_data = fan_mod.SimplicialComplexData(
-                tuple(v["label"] for v in doc["vertices"]),
-                tuple(tuple(tuple(f) for f in faces)
-                      for faces in doc["faces_by_dim"]))
+            complex_data = fan_mod.complex_from_json(
+                _load_json(args.complex))
         else:
             complex_data = fan_mod.tm13_subcomplex()
         ranks = fan_mod.reduced_homology_ranks(complex_data)

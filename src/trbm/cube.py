@@ -121,18 +121,36 @@ def is_slicing(subset: Iterable[int], n: int) -> Optional[Slicing]:
     if not positive or len(positive) == 1 << n:
         c = Q(1) if positive else Q(-1)
         return Slicing(n, positive, tuple(Q(0) for _ in range(n)), c)
-    pos = subset_mask(positive)
-    if _refuted(pos, ((1 << (1 << n)) - 1) ^ pos, n):
-        return None
-    strict = []
-    for v in all_vertices(n):
-        sign = 1 if v in positive else -1
-        strict.append(tuple(sign * x for x in vertex_coords(v, n))
-                      + (sign, 0))
-    witness = solve_feasibility(LinearSystem.build(n + 1, strict=strict))
+    witness = _separate((n, subset_mask(positive), (1 << (1 << n)) - 1))
     if witness is None:
         return None
     return Slicing(n, positive, witness[:n], witness[n])
+
+
+@lru_cache(maxsize=None)
+def _signed_rows(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each vertex v, its strict rows over (omega, c) with constant 0:
+    -(v, 1) on the negative side (index 0), (v, 1) on the positive."""
+    planes = [vertex_coords(v, n) + (1,) for v in all_vertices(n)]
+    return tuple((tuple(-x for x in p) + (0,), p + (0,)) for p in planes)
+
+
+def _separate(args: tuple[int, int, int]) -> Optional[tuple[Fraction, ...]]:
+    """A witness (omega, c) whose margin is positive on the vertices of
+    ``pos`` and negative on the other vertices of ``side``, or None.
+
+    ``args`` is (n, pos, side) with ``pos`` a submask of ``side``.  The
+    split is refuted by a parallelogram certificate (:func:`_refuted`)
+    when there is one, else decided by the LP over the rows of the
+    vertices of ``side`` in index order.
+    """
+    n, pos, side = args
+    if _refuted(pos, side ^ pos, n):
+        return None
+    rows = _signed_rows(n)
+    strict = [rows[v][pos >> v & 1] for v in range(side.bit_length())
+              if side >> v & 1]
+    return solve_feasibility(LinearSystem.build(n + 1, strict=strict))
 
 
 def _parallelogram(pos_mask: int,
@@ -205,61 +223,34 @@ def _enumerate_brute(n: int, threads: int) -> list[Slicing]:
     return sorted(slicings, key=Slicing.sort_key)
 
 
-def _flip_chunk(args) -> list[Optional[tuple]]:
-    n, jobs = args
-    out = []
-    for rows in jobs:
-        witness = solve_feasibility(LinearSystem.build(n + 1, strict=rows))
-        out.append(witness)
-    return out
-
-
 def _enumerate_arrangement(n: int, threads: int) -> list[Slicing]:
     """Slicings as regions of the arrangement of vertex hyperplanes.
 
     Hyperplanes live in R^(n+1) with coordinates (omega, c); vertex v
     contributes the hyperplane omega.v + c = 0.  Hyperplanes are inserted
     one at a time; each known region either keeps its witness or splits,
-    which one strict-feasibility solve per candidate side decides, unless
-    a parallelogram certificate refutes the side first.  A region is the
+    and :func:`_separate` decides each candidate side.  A region is the
     mask of its positive vertices among those inserted, with a witness.
     """
     planes = [vertex_coords(v, n) + (1,) for v in all_vertices(n)]
-    # the strict row of each vertex on its negative (0) and positive side
-    sided = [(tuple(-x for x in plane) + (0,), plane + (0,))
-             for plane in planes]
     # a region is (mask, witness, the witness times the lcm of its
     # denominators); the scaled witness has the same signs on each plane
     zero = tuple(Q(0) for _ in range(n + 1))
     regions = [(0, zero, (0,) * (n + 1))]
     for k, plane in enumerate(planes):
         inserted = (1 << (k + 1)) - 1
-        jobs = []
-        keep = []
+        kept, candidates = [], []
         for pos, point, scaled in regions:
             value = sum(map(mul, plane, scaled))
-            side = 1 if value > 0 else (-1 if value < 0 else 0)
-            sides_to_test = (1, -1) if side == 0 else (-side,)
-            if side != 0:
-                keep.append((pos | (side > 0) << k, (point, scaled), None))
-            for cand in sides_to_test:
-                cand_pos = pos | (cand > 0) << k
-                if _refuted(cand_pos, inserted ^ cand_pos, n):
-                    continue
-                keep.append((cand_pos, None, len(jobs)))
-                jobs.append(tuple(sided[i][cand_pos >> i & 1]
-                                  for i in range(k + 1)))
-        chunk = max(1, len(jobs) // 64)
-        batches = [(n, jobs[i:i + chunk]) for i in range(0, len(jobs), chunk)]
-        results = [w for batch in parallel_map(_flip_chunk, batches, threads)
-                   for w in batch]
-        regions = []
-        for pos, kept, job_id in keep:
-            if kept is not None:
-                regions.append((pos, *kept))
-            elif results[job_id] is not None:
-                point = results[job_id]
-                regions.append((pos, point, *_int_rows([point])))
+            if value:
+                kept.append((pos | (value > 0) << k, point, scaled))
+                candidates.append((n, pos | (value < 0) << k, inserted))
+            else:
+                candidates += [(n, pos | 1 << k, inserted), (n, pos, inserted)]
+        solved = parallel_map(_separate, candidates, threads)
+        regions = kept + [(pos, point, *_int_rows([point]))
+                          for (_, pos, _), point in zip(candidates, solved)
+                          if point is not None]
     slicings = []
     for mask, point, _ in regions:
         pos = frozenset(v for v in all_vertices(n) if mask >> v & 1)
@@ -268,12 +259,10 @@ def _enumerate_arrangement(n: int, threads: int) -> list[Slicing]:
 
 
 @lru_cache(maxsize=None)
-def _enumerate_cached(n: int, strategy: str) -> tuple[Slicing, ...]:
-    if strategy == "brute":
-        result = _enumerate_brute(n, 1)
-    else:
-        result = _enumerate_arrangement(n, 1)
-    return tuple(result)
+def _census(n: int, strategy: str) -> list[Slicing]:
+    """The slot that holds the census of (n, strategy) once it is made;
+    the census is identical for any thread count, so one slot serves all."""
+    return []
 
 
 def enumerate_slicings(n: int, strategy: str = "arrangement",
@@ -289,11 +278,12 @@ def enumerate_slicings(n: int, strategy: str = "arrangement",
     if strategy == "arrangement" and n >= 5 and not allow_long:
         raise ValueError("n=5 enumeration is a long-running mode; "
                          "enable allow_long")
-    if threads > 1:
-        if strategy == "brute":
-            return _enumerate_brute(n, threads)
-        return _enumerate_arrangement(n, threads)
-    return list(_enumerate_cached(n, strategy))
+    census = _census(n, strategy)
+    if not census:
+        enumerate_ = _enumerate_brute if strategy == "brute" \
+            else _enumerate_arrangement
+        census += enumerate_(n, threads)
+    return list(census)
 
 
 def slicing_count(n: int, strategy: str = "arrangement",
@@ -348,6 +338,22 @@ def write_slicings(slicings: Iterable[Slicing], stream: TextIO) -> None:
     for s in slicings:
         ws = ",".join([str(s.c)] + [str(x) for x in s.omega])
         stream.write(f"n:{s.n} pos:{s.mask:x} w:{ws}\n")
+
+
+def read_vertex_values(stream: TextIO) -> tuple[int, tuple[Fraction, ...]]:
+    """n and the 2^n rationals, in vertex order, of a file that holds one
+    rational per line; blank lines are skipped."""
+    values = []
+    for line in filter(None, map(str.strip, stream)):
+        try:
+            values.append(Q(line))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"expected a rational per line, got {line!r}") from None
+    n = (len(values) - 1).bit_length()
+    if len(values) != 1 << n:
+        raise ValueError("expected 2^n values")
+    return n, tuple(values)
 
 
 def read_slicings(stream: TextIO) -> list[Slicing]:

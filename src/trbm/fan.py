@@ -357,6 +357,9 @@ class SimplicialComplexData:
             for f in faces:
                 if len(f) != d + 1 or list(f) != sorted(set(f)):
                     raise ValueError("malformed face")
+                if f[0] < 0 or f[-1] >= len(self.vertex_labels):
+                    raise ValueError(f"face {list(f)} names a vertex "
+                                     "outside the vertex list")
                 if f in seen:
                     raise ValueError("duplicate face")
                 seen.add(f)
@@ -516,6 +519,27 @@ def complex_to_json(c: SimplicialComplexData) -> dict:
         "faces_by_dim": [[list(f) for f in faces]
                          for faces in c.faces_by_dim],
     }
+
+
+def complex_from_json(doc) -> SimplicialComplexData:
+    """The complex of a document in the shape :func:`complex_to_json`
+    writes; a document of another shape raises ValueError."""
+    if not (isinstance(doc, dict) and isinstance(doc.get("vertices"), list)
+            and isinstance(doc.get("faces_by_dim"), list)):
+        raise ValueError("a complex is an object with the lists "
+                         "'vertices' and 'faces_by_dim'")
+    if not all(isinstance(v, dict) and isinstance(v.get("label"), str)
+               for v in doc["vertices"]):
+        raise ValueError("each complex vertex needs a string 'label'")
+    if not all(isinstance(faces, list) and all(
+            isinstance(f, list) and all(type(x) is int for x in f)
+            for f in faces) for faces in doc["faces_by_dim"]):
+        raise ValueError("'faces_by_dim' needs a list of faces per "
+                         "dimension, each face a list of vertex indices")
+    return SimplicialComplexData(
+        tuple(v["label"] for v in doc["vertices"]),
+        tuple(tuple(tuple(f) for f in faces)
+              for faces in doc["faces_by_dim"]))
 
 
 def triangulation_lines(t: Triangulation) -> list[str]:

@@ -24,6 +24,8 @@ WeightVector = TropicalPoint
 
 Term = tuple[int, tuple[tuple[int, int], ...]]
 
+MINORS_LIMIT = 7  # 31,360 minors at n = 7 (split 3 | 4), 313,600 at 8 (4 | 4)
+
 
 @dataclass(frozen=True)
 class SparsePolynomial:
@@ -58,6 +60,9 @@ def initial_form(f: SparsePolynomial, w: WeightVector) -> SparsePolynomial:
     """Sub-sum of terms of maximal w-weight (max-plus convention)."""
     if not f.terms:
         raise ValueError("initial form of the zero polynomial")
+    if w.n != f.n:
+        raise ValueError(f"weights need 2^{f.n} = {1 << f.n} values, "
+                         f"got {len(w.values)}")
     weights = [f.term_weight(t, w.values) for t in f.terms]
     top = max(weights)
     kept = [t for t, wt in zip(f.terms, weights) if wt == top]
@@ -70,6 +75,9 @@ def flattening_minors(n: int, a_set: Iterable[int]) -> list[SparsePolynomial]:
     Splits with a side of fewer than two indices admit no 3x3 minors and
     yield the empty list.
     """
+    if n > MINORS_LIMIT:
+        raise ValueError(f"minors are listed for n <= {MINORS_LIMIT}, "
+                         f"got n={n}")
     a = sorted(set(a_set))
     b = [j for j in range(1, n + 1) if j not in a]
     if not a or not b:
@@ -199,6 +207,9 @@ def read_polynomial(stream: TextIO, n: int) -> SparsePolynomial:
             if not name.startswith("p_"):
                 raise ValueError(f"bad factor {token!r}")
             v = int(name[2:], 2)
+            if not 0 <= v < 1 << n:
+                raise ValueError(f"factor {token!r} is not a variable of "
+                                 f"the {n}-cube")
             exps[v] = exps.get(v, 0) + (int(power) if power else 1)
         terms.append((int(coeff_part.strip()), exps))
     return SparsePolynomial.build(n, terms)

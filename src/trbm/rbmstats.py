@@ -18,7 +18,7 @@ from random import Random
 from typing import Iterable, Sequence, TextIO
 
 from .linalg import Matrix, qtuple, rank
-from .cube import all_vertices, vertex_coords
+from .cube import all_vertices, read_vertex_values, vertex_coords
 
 Q = Fraction
 
@@ -349,8 +349,4 @@ def write_distribution(p: Distribution, stream: TextIO) -> None:
 
 
 def read_distribution(stream: TextIO) -> Distribution:
-    values = [Q(line.strip()) for line in stream if line.strip()]
-    n = (len(values) - 1).bit_length()
-    if len(values) != 1 << n:
-        raise ValueError("expected 2^n values")
-    return Distribution(n, tuple(values))
+    return Distribution(*read_vertex_values(stream))

@@ -20,7 +20,8 @@ from typing import Optional, Sequence, TextIO
 
 from .codes import (HAMMING_LIMIT, ball_centers, ball_slicing,
                     hamming_code, shortened_hamming_code)
-from .cube import (Slicing, all_vertices, enumerate_slicings, vertex_coords)
+from .cube import (Slicing, all_vertices, enumerate_slicings,
+                   read_vertex_values, vertex_coords)
 from .linalg import Matrix, _int_rows, integer_kernel, qtuple, rank_01
 from .lp import LinearSystem, solve_feasibility
 from .parallel import parallel_map
@@ -246,6 +247,8 @@ def tropical_dimension(n: int, k: int, strategy: str = "exhaustive",
     """
     if n < 1:
         raise ValueError(f"dim needs n >= 1, got n={n}")
+    if k < 0:
+        raise ValueError(f"dim needs k >= 0, got k={k}")
     if strategy == "exhaustive":
         slicings = enumerate_slicings(n, allow_long=allow_long)
         total = 1
@@ -445,14 +448,4 @@ def write_tropical_point(q: TropicalPoint, stream: TextIO) -> None:
 
 
 def read_tropical_point(stream: TextIO) -> TropicalPoint:
-    values = []
-    for line in filter(None, map(str.strip, stream)):
-        try:
-            values.append(Q(line))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(
-                f"expected a rational per line, got {line!r}") from None
-    n = (len(values) - 1).bit_length()
-    if len(values) != 1 << n:
-        raise ValueError("expected 2^n values")
-    return TropicalPoint(n, tuple(values))
+    return TropicalPoint(*read_vertex_values(stream))

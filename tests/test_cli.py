@@ -355,6 +355,15 @@ def test_dim_n_below_one_exits_2(strategy, capsys):
     assert err == "error: dim needs n >= 1, got n=0\n"
 
 
+@pytest.mark.parametrize("strategy", ["exhaustive", "code_based",
+                                      "greedy_random"])
+def test_dim_k_below_zero_exits_2(strategy, capsys):
+    code, out, err = run(capsys, "dim", "--n", "3", "--k", "-1",
+                         "--strategy", strategy)
+    assert (code, out) == (2, "")
+    assert err == "error: dim needs k >= 0, got k=-1\n"
+
+
 @pytest.mark.parametrize("n", ["1", "16"])
 def test_dim_code_based_n_outside_its_range_exits_2(n, capsys):
     code, out, err = run(capsys, "dim", "--n", n, "--k", "1",
@@ -390,3 +399,64 @@ def test_hamming_too_large_exits_2(ell, capsys):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: ell={ell} gives 2^(2^{ell} - ")
     assert err.endswith("codewords; ell <= 4 is supported\n")
+
+
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+@pytest.mark.parametrize("op", ["flatten-rank", "covariance", "check",
+                                "hadamard"])
+def test_distribution_file_non_rational_exits_2(op, value, tmp_path, capsys):
+    dist = tmp_path / "d.txt"
+    dist.write_text(f"1/4\n1/4\n{value}\n1/4\n")
+    extra = ["--dist", str(dist)] if op == "hadamard" else []
+    code, out, err = run(capsys, "rbm", op, "--dist", str(dist), *extra)
+    assert (code, out) == (2, "")
+    assert err == f"error: expected a rational per line, got '{value}'\n"
+
+
+@pytest.mark.parametrize("factor", ["p_11111", "p_-1"])
+def test_initial_form_variable_outside_the_cube_exits_2(factor, tmp_path,
+                                                        capsys):
+    poly = tmp_path / "f.txt"
+    poly.write_text(f"1 * p_0000\n1 * {factor}\n")
+    weights = tmp_path / "w.txt"
+    weights.write_text("0\n" * 16)
+    code, out, err = run(capsys, "tropvar", "initial-form", "--n", "4",
+                         "--poly", str(poly), "--weights", str(weights))
+    assert (code, out) == (2, "")
+    assert err == f"error: factor {factor!r} is not a variable of the 4-cube\n"
+
+
+@pytest.mark.parametrize("lines", [8, 32])
+def test_initial_form_weights_of_another_length_exit_2(lines, tmp_path,
+                                                       capsys):
+    poly = tmp_path / "f.txt"
+    poly.write_text("1 * p_0000\n1 * p_1111\n")
+    weights = tmp_path / "w.txt"
+    weights.write_text("0\n" * lines)
+    code, out, err = run(capsys, "tropvar", "initial-form", "--n", "4",
+                         "--poly", str(poly), "--weights", str(weights))
+    assert (code, out) == (2, "")
+    assert err == f"error: weights need 2^4 = 16 values, got {lines}\n"
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2], {"vertices": []}, {"faces_by_dim": []},
+    {"vertices": [{"class": "D"}], "faces_by_dim": []},
+    {"vertices": [{"label": "D0"}], "faces_by_dim": [[0]]},
+    {"vertices": [{"label": "D0"}], "faces_by_dim": [[["0"]]]},
+    {"vertices": [{"label": "D0"}], "faces_by_dim": [[[0], [1]]]}])
+def test_homology_misshapen_complex_exits_2(doc, tmp_path, capsys):
+    complex_file = tmp_path / "c.json"
+    complex_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "fan", "homology", "--complex",
+                         str(complex_file))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", ["8", "40"])
+def test_minors_n_above_the_limit_exits_2(n, capsys):
+    code, out, err = run(capsys, "tropvar", "minors", "--n", n,
+                         "--split", "1,2")
+    assert (code, out) == (2, "")
+    assert err == f"error: minors are listed for n <= 7, got n={n}\n"

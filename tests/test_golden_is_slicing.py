@@ -6,8 +6,8 @@ with one vertex flipped.  ``golden_is_slicing.json`` holds the number of
 queries and the SHA-256 of their records: the subset mask and ``str`` of
 every witness coordinate (c first), or null for a non-slicing.  Any change
 to how ``is_slicing`` builds its separation system, refutes a subset or
-solves the LP must reproduce them byte for byte, because printed
-membership and code witnesses are these witnesses.
+solves the LP must reproduce them byte for byte, because the public
+``is_slicing`` and the brute-force census return these witnesses.
 
 Run ``PYTHONPATH=src python tests/test_golden_is_slicing.py`` to rewrite
 the file; do so only on a commit whose witnesses are the reference.
