@@ -22,7 +22,10 @@ from operator import mul
 from typing import Iterable, Optional, Sequence, TextIO
 
 from .linalg import Matrix, _int_rows, integer_kernel
-from .lp import LinearSystem, solve_feasibility
+from .lp import _box, _margin_lp
+# slicing queries call the margin LP directly; solve_feasibility stays
+# bound here, where the span tracer of perfbench/ looks it up
+from .lp import solve_feasibility  # noqa: F401
 from .parallel import parallel_map
 
 Q = Fraction
@@ -124,25 +127,38 @@ def is_slicing(subset: Iterable[int], n: int) -> Optional[Slicing]:
     witness = _separate((n, subset_mask(positive), (1 << (1 << n)) - 1))
     if witness is None:
         return None
-    return Slicing(n, positive, witness[:n], witness[n])
+    return _witnessed(n, positive, *witness)
+
+
+def _witnessed(n: int, positive: frozenset[int], y: Sequence[int],
+               den: int) -> Slicing:
+    """The Slicing of the witness (omega, c) = y / den."""
+    return Slicing(n, positive, tuple(Q(v, den) for v in y[:n]),
+                   Q(y[n], den))
 
 
 @lru_cache(maxsize=None)
-def _signed_rows(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """For each vertex v, its strict rows over (omega, c) with constant 0:
-    -(v, 1) on the negative side (index 0), (v, 1) on the positive."""
+def _signed_rows(n: int) -> tuple[tuple[tuple, tuple], ...]:
+    """For each vertex v, its strict rows over (omega, c) as margin LP
+    rows ``(a, 1)``: a = -(v, 1) on the negative side (index 0), (v, 1)
+    on the positive."""
     planes = [vertex_coords(v, n) + (1,) for v in all_vertices(n)]
-    return tuple((tuple(-x for x in p) + (0,), p + (0,)) for p in planes)
+    return tuple(((tuple(-x for x in p), 1), (p, 1)) for p in planes)
 
 
-def _separate(args: tuple[int, int, int]) -> Optional[tuple[Fraction, ...]]:
+def _separate(args: tuple[int, int, int]
+              ) -> Optional[tuple[list[int], int]]:
     """A witness (omega, c) whose margin is positive on the vertices of
-    ``pos`` and negative on the other vertices of ``side``, or None.
+    ``pos`` and negative on the other vertices of ``side``, as integer
+    numerators y over a denominator den > 0, or None.
 
     ``args`` is (n, pos, side) with ``pos`` a submask of ``side``.  The
     split is refuted by a parallelogram certificate (:func:`_refuted`)
-    when there is one, else decided by the LP over the rows of the
-    vertices of ``side`` in index order.
+    when there is one, else decided by the margin LP over the rows of
+    the vertices of ``side`` in index order.  ``solve_feasibility``
+    hands the LP these integer rows and this box for the same system, so
+    the witness is the one it returns.  The witness is re-checked by
+    substitution in every row before it is returned.
     """
     n, pos, side = args
     if _refuted(pos, side ^ pos, n):
@@ -150,7 +166,11 @@ def _separate(args: tuple[int, int, int]) -> Optional[tuple[Fraction, ...]]:
     rows = _signed_rows(n)
     strict = [rows[v][pos >> v & 1] for v in range(side.bit_length())
               if side >> v & 1]
-    return solve_feasibility(LinearSystem.build(n + 1, strict=strict))
+    witness = _margin_lp(strict, n + 1, _box(n + 1))
+    if witness is not None and not all(
+            sum(map(mul, a, witness[0])) > 0 for a, _ in strict):
+        raise AssertionError("separation witness failed re-validation")
+    return witness
 
 
 def _parallelogram(pos_mask: int,
@@ -233,28 +253,27 @@ def _enumerate_arrangement(n: int, threads: int) -> list[Slicing]:
     mask of its positive vertices among those inserted, with a witness.
     """
     planes = [vertex_coords(v, n) + (1,) for v in all_vertices(n)]
-    # a region is (mask, witness, the witness times the lcm of its
-    # denominators); the scaled witness has the same signs on each plane
-    zero = tuple(Q(0) for _ in range(n + 1))
-    regions = [(0, zero, (0,) * (n + 1))]
+    # a region is (mask, y, den) with witness y / den; the numerators y
+    # have the witness's sign on each plane
+    regions = [(0, (0,) * (n + 1), 1)]
     for k, plane in enumerate(planes):
         inserted = (1 << (k + 1)) - 1
         kept, candidates = [], []
-        for pos, point, scaled in regions:
-            value = sum(map(mul, plane, scaled))
+        for pos, y, den in regions:
+            value = sum(map(mul, plane, y))
             if value:
-                kept.append((pos | (value > 0) << k, point, scaled))
+                kept.append((pos | (value > 0) << k, y, den))
                 candidates.append((n, pos | (value < 0) << k, inserted))
             else:
                 candidates += [(n, pos | 1 << k, inserted), (n, pos, inserted)]
         solved = parallel_map(_separate, candidates, threads)
-        regions = kept + [(pos, point, *_int_rows([point]))
-                          for (_, pos, _), point in zip(candidates, solved)
-                          if point is not None]
+        regions = kept + [(pos, *witness)
+                          for (_, pos, _), witness in zip(candidates, solved)
+                          if witness is not None]
     slicings = []
-    for mask, point, _ in regions:
+    for mask, y, den in regions:
         pos = frozenset(v for v in all_vertices(n) if mask >> v & 1)
-        slicings.append(Slicing(n, pos, point[:n], point[n]))
+        slicings.append(_witnessed(n, pos, y, den))
     return sorted(slicings, key=Slicing.sort_key)
 
 

@@ -22,8 +22,14 @@ decided exactly:
 
 The margin program runs on a fraction-free integer simplex tableau with
 Bland's anti-cycling rule, so no floating point enters any verdict.
-Returned witnesses are re-checked by direct substitution before being
-handed back.
+Until its first non-degenerate pivot every constraint row keeps
+right-hand side 0, so the tableau holds only the constraint rows and
+the objective; the box rows are built from the basis at that pivot, and
+they are exactly the rows the full tableau would hold there.  Returned
+witnesses are re-checked by direct substitution before being handed
+back.  The slicing queries of :mod:`trbm.cube` hand their integer rows
+to :func:`_margin_lp` directly, with the same box (:func:`_box`), and
+re-check the witness themselves.
 """
 
 from __future__ import annotations
@@ -123,7 +129,7 @@ def solve_feasibility(sys: LinearSystem) -> Optional[tuple[Fraction, ...]]:
         elif row[-1]:
             return None  # a strict row vanishes on every solution
     ncols = dim if basis is None else len(basis)
-    solution = _margin_lp(rows, ncols, box=2 * (m + 1))
+    solution = _margin_lp(rows, ncols, _box(m))
     if solution is None:
         return None
     y, den = solution
@@ -147,6 +153,12 @@ def _project(row: list[int], basis: Optional[list[list[int]]]) -> list[int]:
     return [sum(a * b for a, b in zip(row, col)) for col in basis]
 
 
+def _box(num_vars: int) -> int:
+    """The margin program's bound on |y| for a system over ``num_vars``
+    unknowns.  Cones are scale invariant, so any bound > 0 is sound."""
+    return 2 * (num_vars + 1)
+
+
 def _margin_lp(rows, nvars, box: int):
     """Maximize t subject to a.y >= s t for every integer row ``(a, s)``
     (s > 0 for strict rows, s = 0 for weak ones) and |y| <= box.
@@ -166,58 +178,115 @@ def _margin_lp(rows, nvars, box: int):
     objective entry and breaks ratio-test ties by the smallest basic
     label, so the pivots, the optimum, y and ``den`` are those of the
     full tableau.
+
+    The box rows join the tableau at the first non-degenerate pivot.
+    Until then every constraint row keeps right-hand side 0 and every box
+    row a positive one, so the ratio test takes the smallest basic label
+    among the constraint rows with a positive entry, and an objective
+    row with no positive entry ends the LP at t = 0 with no box row
+    built.  When no constraint row bounds the entering column,
+    :func:`_box_rows` builds the box rows from the basis; a basis
+    determines its fraction-free tableau, so they are the full tableau's
+    rows.  Both phases pivot through :func:`_pivot`.
     """
     # labels: u_0..u_{n-1}, w_0..w_{n-1}, t, then one slack per row
     nstruct = 2 * nvars + 1
-    tab = [[-x for x in a] + a + [s, 0] for a, s in rows]
-    tab += [[int(i == j) for i in range(nstruct)] + [box]
-            for j in range(2 * nvars)]
-    nrows = len(tab)
-    obj = [0] * (2 * nvars) + [1, 0]
-    tab.append(obj)  # the objective row is updated with the others
+    tab = [[-x for x in a] + [*a, s, 0] for a, s in rows]
+    ncon = len(tab)
+    tab.append([0] * (2 * nvars) + [1, 0])  # the objective row, kept last
     nonbasic = list(range(nstruct))
-    basis = list(range(nstruct, nstruct + nrows))
+    basis = list(range(nstruct, nstruct + ncon))
     den = 1
+    boxed = False
 
     while True:
+        obj = tab[-1]
         enter = min((j for j in range(nstruct) if obj[j] > 0),
                     key=nonbasic.__getitem__, default=None)
         if enter is None:
             break
-        leave = -1
-        for i in range(nrows):
-            if tab[i][enter] <= 0:
-                continue
+        if not boxed:
+            leave = min((i for i in range(ncon) if tab[i][enter] > 0),
+                        key=basis.__getitem__, default=-1)
             if leave < 0:
-                leave = i
-                continue
-            lhs = tab[i][-1] * tab[leave][enter]
-            rhs = tab[leave][-1] * tab[i][enter]
-            if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                leave = i
-        if leave < 0:
-            raise RuntimeError("margin program unbounded despite box")
-        prow = tab[leave]
-        piv = prow[enter]
-        for i, row in enumerate(tab):
-            if i == leave:
-                continue
-            f = row[enter]
-            if f:
-                row = [(piv * x - f * y) // den for x, y in zip(row, prow)]
-                row[enter] = -f
-                tab[i] = row
-            elif piv != den:
-                tab[i] = [piv * x // den for x in row]
-        obj = tab[nrows]
-        prow[enter] = den
-        den = piv
+                tab[ncon:ncon] = _box_rows(tab, basis, nonbasic, nvars,
+                                           box, den)
+                basis += range(nstruct + ncon, nstruct + ncon + 2 * nvars)
+                boxed = True
+        if boxed:
+            leave = _ratio_test(tab, basis, enter)
+        den = _pivot(tab, leave, enter, den)
         basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
 
-    if obj[-1] >= 0:
+    if tab[-1][-1] >= 0:
         return None  # the optimum -obj[-1] / den is t = 0
     values = [0] * nstruct
     for i, label in enumerate(basis):
         if label < nstruct:
             values[label] = tab[i][-1]
     return [values[j] - values[nvars + j] for j in range(nvars)], den
+
+
+def _box_rows(tab, basis, nonbasic, nvars, box, den):
+    """The rows of u_j <= box and w_j <= box (labels 0..2 nvars - 1) in
+    the current basis, each with its slack basic.
+
+    A nonbasic u_j in column q gives ``den e_q | den box``; a u_j basic
+    in row R gives ``-R | den box - R_rhs``, since then den u_j equals
+    R_rhs minus R's nonbasic terms.  w_j alike.
+    """
+    row_of = {label: i for i, label in enumerate(basis)}
+    rows = []
+    for label in range(2 * nvars):
+        if label in row_of:
+            row = [-x for x in tab[row_of[label]]]
+            row[-1] += den * box
+        else:
+            row = [0] * (len(nonbasic) + 1)
+            row[nonbasic.index(label)] = den
+            row[-1] = den * box
+        rows.append(row)
+    return rows
+
+
+def _ratio_test(tab, basis, enter) -> int:
+    """The leaving row for column ``enter``: the least ratio of
+    right-hand side to a positive entry, ties to the smallest basic
+    label, over every row but the objective."""
+    leave = -1
+    for i in range(len(tab) - 1):
+        if tab[i][enter] <= 0:
+            continue
+        if leave < 0:
+            leave = i
+            continue
+        lhs = tab[i][-1] * tab[leave][enter]
+        rhs = tab[leave][-1] * tab[i][enter]
+        if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+            leave = i
+    if leave < 0:
+        raise RuntimeError("margin program unbounded despite box")
+    return leave
+
+
+def _pivot(tab, leave, enter, den) -> int:
+    """One fraction-free pivot on row ``leave`` and column ``enter`` of
+    the condensed tableau, in place; returns the new denominator.
+
+    Every update divides exactly by the old ``den``; the leaving
+    variable takes over column ``enter``, where its row holds ``den``.
+    """
+    prow = tab[leave]
+    piv = prow[enter]
+    for i, row in enumerate(tab):
+        if i == leave:
+            continue
+        f = row[enter]
+        if f:
+            row = [(piv * x - f * y) // den for x, y in zip(row, prow)]
+            row[enter] = -f
+            tab[i] = row
+        elif piv != den:
+            tab[i] = [piv * x // den for x in row]
+    prow[enter] = den
+    return piv

@@ -22,6 +22,8 @@ from .cube import all_vertices, read_vertex_values, vertex_coords
 
 Q = Fraction
 
+JOINT_LIMIT = 16  # n + k; the summed check adds 2^16 terms in about 5 s
+
 
 @dataclass(frozen=True)
 class ExpParams:
@@ -98,9 +100,13 @@ def joint_distribution(params: ExpParams) -> Distribution:
     """Visible distribution of the model, by the factored product formula.
 
     The factored value is cross-checked against the raw double sum over
-    hidden states before returning.
+    hidden states before returning.  That sum has 2^(n+k) terms, so
+    n + k above ``JOINT_LIMIT`` is refused before either form is built.
     """
     n, k = params.n, params.k
+    if n + k > JOINT_LIMIT:
+        raise ValueError(f"n={n}, k={k}: the summed check adds 2^{n + k} "
+                         f"terms; n + k <= {JOINT_LIMIT} is supported")
     factored = []
     for v in all_vertices(n):
         coords = vertex_coords(v, n)

@@ -401,6 +401,17 @@ def test_hamming_too_large_exits_2(ell, capsys):
     assert err.endswith("codewords; ell <= 4 is supported\n")
 
 
+@pytest.mark.parametrize("n, k", [(1, 16), (9, 8), (40, 40)])
+def test_rbm_joint_too_large_exits_2(n, k, tmp_path, capsys):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps({"beta": ["2"] * n, "gamma": ["3"] * k,
+                                  "omega": [["5"] * n] * k}))
+    code, out, err = run(capsys, "rbm", "joint", "--params", str(params))
+    assert (code, out) == (2, "")
+    assert err == (f"error: n={n}, k={k}: the summed check adds "
+                   f"2^{n + k} terms; n + k <= 16 is supported\n")
+
+
 @pytest.mark.parametrize("value", ["1/0", "abc"])
 @pytest.mark.parametrize("op", ["flatten-rank", "covariance", "check",
                                 "hadamard"])

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from trbm import cube
 from trbm.codes import ball_slicing
 from trbm.cube import (Slicing, _enumerate_arrangement, _enumerate_brute,
                        _parallelogram, all_vertices, count_zonotope_facets,
@@ -161,15 +162,20 @@ def test_masks_without_parallelogram_are_the_census():
         assert free == sorted(s.mask for s in enumerate_slicings(n))
 
 
-def test_parallelogram_refutes_only_infeasible_systems():
-    def separation(mask, n):
-        rows = []
-        for v in all_vertices(n):
+def separation(mask, n, side=None):
+    """The LinearSystem that separates the vertices of ``mask`` from the
+    other vertices of ``side`` (all vertices by default): one strict row
+    +-(v, 1) over (omega, c) per vertex of ``side``, in index order."""
+    rows = []
+    for v in all_vertices(n):
+        if side is None or side >> v & 1:
             sign = 1 if mask >> v & 1 else -1
             rows.append(tuple(sign * x for x in vertex_coords(v, n))
                         + (sign, 0))
-        return LinearSystem.build(n + 1, strict=rows)
+    return LinearSystem.build(n + 1, strict=rows)
 
+
+def test_parallelogram_refutes_only_infeasible_systems():
     rng = Random(5)
     cases = [(3, mask) for mask in range(1 << 8)]
     cases += [(4, rng.getrandbits(16)) for _ in range(500)]
@@ -249,3 +255,46 @@ def test_slicing_check_on_a_ball_of_the_15_cube():
 def test_slicing_rejects_a_non_vertex():
     with pytest.raises(ValueError, match="non-vertex"):
         Slicing(2, frozenset({3, 4}), (Q(1), Q(1)), Q(-3, 2))
+
+
+def test_separation_witness_is_rechecked(monkeypatch):
+    margin_lp = cube._margin_lp
+
+    def corrupted(rows, nvars, box):  # the constant term's sign flipped
+        y, den = margin_lp(rows, nvars, box)
+        return [*y[:-1], -y[-1]], den
+
+    monkeypatch.setattr(cube, "_margin_lp", corrupted)
+    with pytest.raises(AssertionError, match="re-validation"):
+        is_slicing({0b111}, 3)
+    with pytest.raises(AssertionError, match="re-validation"):
+        _enumerate_arrangement(2, 1)
+
+
+def test_is_slicing_witnesses_are_those_of_solve_feasibility():
+    for n in (1, 2, 3):
+        full = (1 << (1 << n)) - 1
+        for mask in range(1, full):
+            s = is_slicing([v for v in all_vertices(n) if mask >> v & 1], n)
+            witness = solve_feasibility(separation(mask, n))
+            assert (None if s is None else (*s.omega, s.c)) == witness
+
+
+def test_arrangement_witnesses_are_those_of_solve_feasibility(monkeypatch):
+    separate = cube._separate
+    for n in (1, 2, 3):
+        found = set()
+
+        def checked(args):
+            result = separate(args)
+            _, pos, side = args
+            witness = None if result is None else tuple(
+                Q(v, result[1]) for v in result[0])
+            assert witness == solve_feasibility(separation(pos, n, side))
+            found.add(witness)
+            return result
+
+        monkeypatch.setattr(cube, "_separate", checked)
+        census = _enumerate_arrangement(n, 1)
+        assert len(census) == (4, 14, 104)[n - 1]
+        assert {(*s.omega, s.c) for s in census} <= found

@@ -1,8 +1,12 @@
+from collections import Counter
 from fractions import Fraction as Q
 from random import Random
+from unittest.mock import patch
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from trbm import lp
 from trbm.cube import all_vertices, vertex_coords
 from trbm.lp import LinearSystem, solve_feasibility
 
@@ -155,3 +159,146 @@ def test_evaluate_rejects_zero_and_negative_near_misses():
         sys_ = LinearSystem.build(2, **rows)
         assert fraction_oracle(sys_, x) == ok
         assert sys_.evaluate(x) == ok
+
+
+def full_tableau_margin_lp(rows, nvars, box, pivots=None, seen=None):
+    """The margin LP on the full condensed tableau, box rows included
+    from the start: the oracle of ``lp._margin_lp``.
+
+    ``pivots``, when given, receives each pivot element in turn.
+    ``seen``, when given, counts what the run exercised: an end with no
+    pivot on a box row (``degenerate_end``), a u_j or w_j basic at the
+    first box-row pivot (``basic_box``), two or more pivots from that
+    one on (``phase2_pivots``), and a ratio-test tie between box rows
+    (``box_tie``) that the smallest basic label decides against row
+    order (``box_tie_decided``).
+    """
+    nstruct = 2 * nvars + 1
+    ncon = len(rows)
+    tab = [[-x for x in a] + [*a, s, 0] for a, s in rows]
+    tab += [[int(i == j) for i in range(nstruct)] + [box]
+            for j in range(2 * nvars)]
+    nrows = len(tab)
+    obj = [0] * (2 * nvars) + [1, 0]
+    tab.append(obj)
+    nonbasic = list(range(nstruct))
+    basis = list(range(nstruct, nstruct + nrows))
+    den = 1
+    phase2 = 0
+    while True:
+        enter = min((j for j in range(nstruct) if obj[j] > 0),
+                    key=nonbasic.__getitem__, default=None)
+        if enter is None:
+            break
+        leave = -1
+        for i in range(nrows):
+            if tab[i][enter] <= 0:
+                continue
+            if leave < 0:
+                leave = i
+                continue
+            lhs = tab[i][-1] * tab[leave][enter]
+            rhs = tab[leave][-1] * tab[i][enter]
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                leave = i
+        if leave < 0:
+            raise RuntimeError("margin program unbounded despite box")
+        if seen is not None:
+            if leave >= ncon and not phase2:
+                seen["basic_box"] += any(b < 2 * nvars for b in basis)
+            phase2 += bool(phase2) or leave >= ncon
+            tied = [i for i in range(ncon, nrows) if tab[i][enter] > 0
+                    and tab[i][-1] * tab[leave][enter]
+                    == tab[leave][-1] * tab[i][enter]]
+            seen["box_tie"] += len(tied) > 1
+            seen["box_tie_decided"] += len(tied) > 1 and tied[0] != leave
+        prow = tab[leave]
+        piv = prow[enter]
+        if pivots is not None:
+            pivots.append(piv)
+        for i, row in enumerate(tab):
+            if i == leave:
+                continue
+            f = row[enter]
+            if f:
+                row = [(piv * x - f * y) // den for x, y in zip(row, prow)]
+                row[enter] = -f
+                tab[i] = row
+            elif piv != den:
+                tab[i] = [piv * x // den for x in row]
+        obj = tab[nrows]
+        prow[enter] = den
+        den = piv
+        basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
+    if seen is not None:
+        seen["degenerate_end"] += not phase2
+        seen["phase2_pivots"] += phase2 >= 2
+    if obj[-1] >= 0:
+        return None
+    values = [0] * nstruct
+    for i, label in enumerate(basis):
+        if label < nstruct:
+            values[label] = tab[i][-1]
+    return [values[j] - values[nvars + j] for j in range(nvars)], den
+
+
+@st.composite
+def integer_systems(draw):
+    """Small integer systems: strict, weak and equality rows, with the
+    constant column all zero (a cone) or drawn like the rest."""
+    m = draw(st.integers(1, 4))
+    homogeneous = draw(st.booleans())
+    entry = st.integers(-3, 3)
+
+    def rows(most):
+        return draw(st.lists(
+            st.tuples(*[entry] * m, st.just(0) if homogeneous else entry),
+            max_size=most))
+
+    strict, weak, eq = rows(6), rows(4), rows(2)
+    assume(strict or weak or eq)
+    return LinearSystem(m, tuple(strict), tuple(weak), tuple(eq))
+
+
+def test_margin_lp_matches_full_tableau_oracle():
+    """``_margin_lp`` returns the oracle's (y, den) or None, through the
+    oracle's pivots, on every LP that ``solve_feasibility`` runs for
+    random integer systems and on the separation LPs of n = 3 splits."""
+    seen = Counter()
+    margin_lp, pivot = lp._margin_lp, lp._pivot
+
+    def both(rows, nvars, box):
+        pivots, expected = [], []
+
+        def recorded(tab, leave, enter, den):
+            pivots.append(tab[leave][enter])
+            return pivot(tab, leave, enter, den)
+
+        with patch.object(lp, "_pivot", recorded):
+            got = margin_lp(rows, nvars, box)
+        assert got == full_tableau_margin_lp(rows, nvars, box, expected,
+                                             seen)
+        assert pivots == expected
+        return got
+
+    @settings(max_examples=600, derandomize=True, database=None,
+              deadline=None)
+    @given(integer_systems())
+    def check_system(sys_):
+        with patch.object(lp, "_margin_lp", both):
+            solve_feasibility(sys_)
+
+    @settings(max_examples=150, derandomize=True, database=None,
+              deadline=None)
+    @given(st.integers(1, 254))
+    def check_split(mask):
+        rows = [((*(s * x for x in vertex_coords(v, 3)), s), 1)
+                for v, s in ((v, 1 if mask >> v & 1 else -1)
+                             for v in all_vertices(3))]
+        both(rows, 4, lp._box(4))
+
+    check_system()
+    check_split()
+    for event in ("degenerate_end", "basic_box", "phase2_pivots", "box_tie",
+                  "box_tie_decided"):
+        assert seen[event] > 0, (event, seen)
