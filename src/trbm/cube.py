@@ -9,6 +9,11 @@ A *slicing* is a subset of cube vertices that a hyperplane strictly
 separates from its complement; equivalently, the indicator of the subset
 is a linear threshold function.  Slicings carry an exact rational witness
 ``(omega, c)`` with ``omega . v + c > 0`` exactly on the subset.
+
+The arrangement census walks its tree of regions depth first: a region
+of the vertices 0..k-1 carries its margin LP, stopped at the end of the
+degenerate phase, and a split at vertex k copies it and adds one row
+(:func:`_split`).  Its subtrees share one worker pool.
 """
 
 from __future__ import annotations
@@ -22,11 +27,11 @@ from operator import mul
 from typing import Iterable, Optional, Sequence, TextIO
 
 from .linalg import Matrix, _int_rows, integer_kernel
-from .lp import _box, _margin_lp
+from .lp import _box, _margin_lp, _Tableau
 # slicing queries call the margin LP directly; solve_feasibility stays
 # bound here, where the span tracer of perfbench/ looks it up
 from .lp import solve_feasibility  # noqa: F401
-from .parallel import parallel_map
+from .parallel import parallel_map, workers
 
 Q = Fraction
 
@@ -158,7 +163,8 @@ def _separate(args: tuple[int, int, int]
     the vertices of ``side`` in index order.  ``solve_feasibility``
     hands the LP these integer rows and this box for the same system, so
     the witness is the one it returns.  The witness is re-checked by
-    substitution in every row before it is returned.
+    substitution in every row before it is returned.  This is the step
+    of :func:`is_slicing`; the census splits regions by :func:`_split`.
     """
     n, pos, side = args
     if _refuted(pos, side ^ pos, n):
@@ -166,7 +172,12 @@ def _separate(args: tuple[int, int, int]
     rows = _signed_rows(n)
     strict = [rows[v][pos >> v & 1] for v in range(side.bit_length())
               if side >> v & 1]
-    witness = _margin_lp(strict, n + 1, _box(n + 1))
+    return _rechecked(_margin_lp(strict, n + 1, _box(n + 1)), strict)
+
+
+def _rechecked(witness, strict):
+    """``witness`` (or None), once its y is checked by integer
+    substitution to be positive on every row (a, s) of ``strict``."""
     if witness is not None and not all(
             sum(map(mul, a, witness[0])) > 0 for a, _ in strict):
         raise AssertionError("separation witness failed re-validation")
@@ -204,13 +215,59 @@ def _refuted(pos_mask: int, neg_mask: int, n: int) -> bool:
     quad = _parallelogram(pos_mask, neg_mask)
     if quad is None:
         return False
+    return _certified(quad, pos_mask, neg_mask, n)
+
+
+def _certified(quad, pos_mask: int, neg_mask: int, n: int) -> bool:
+    """True once the certificate (a, b, c, d) is re-checked: a, b in
+    ``pos_mask``, c, d in ``neg_mask`` and a + b = c + d by coordinates;
+    AssertionError otherwise."""
     a, b, c, d = quad
     sides = pos_mask >> a & pos_mask >> b & neg_mask >> c & neg_mask >> d & 1
-    coords = [vertex_coords(v, n) for v in quad]
+    rows = _signed_rows(n)
+    coords = [rows[v][1][0] for v in quad]  # (v, 1) by coordinates
     if not sides or any(w + x != y + z for w, x, y, z in zip(*coords)):
         raise AssertionError(
             f"parallelogram certificate {quad} failed re-validation")
     return True
+
+
+@lru_cache(maxsize=None)
+def _through(k: int) -> tuple[tuple[int, int, int], ...]:
+    """The triples (b, c, d) of vertices below k, c < d, with k + b =
+    c + d as 0/1 vectors: the parallelograms through vertex k of the
+    vertices 0..k (for indices, k & b == c & d and k | b == c | d).
+
+    b = k would force c = d = k, and b = c or b = d the other to be k,
+    so the four vertices are distinct.  The table does not depend on n:
+    the sums only see the bits of indices below k.
+    """
+    triples = []
+    for b in range(k):
+        low, diff = k & b, k ^ b
+        sub = diff
+        while sub:  # c = low | sub and d = low | (diff ^ sub)
+            c, d = low | sub, low | diff ^ sub
+            if c < d < k:
+                triples.append((b, c, d))
+            sub = (sub - 1) & diff
+    return tuple(triples)
+
+
+def _refuted_through(pos: int, k: int, n: int) -> bool:
+    """Whether a parallelogram through vertex k shows the split ``pos``
+    of the vertices 0..k inseparable, its certificate re-checked by
+    coordinates.  When the split of 0..k-1 is separable, every
+    parallelogram certificate of the split of 0..k passes through k, so
+    this is the verdict of :func:`_refuted`."""
+    neg = ((1 << (k + 1)) - 1) ^ pos
+    positive = pos >> k & 1
+    same = pos if positive else neg  # the vertices on k's side
+    for b, c, d in _through(k):
+        if same >> b & 1 and not (same >> c | same >> d) & 1:
+            quad = (k, b, c, d) if positive else (c, d, k, b)
+            return _certified(quad, pos, neg, n)
+    return False
 
 
 def _brute_chunk(args) -> list[tuple[int, tuple, Fraction]]:
@@ -243,38 +300,100 @@ def _enumerate_brute(n: int, threads: int) -> list[Slicing]:
     return sorted(slicings, key=Slicing.sort_key)
 
 
+#: With --threads > 1 the census is cut into at least this many subtrees
+#: per worker, so that uneven subtrees still keep every worker busy.
+SUBTREES_PER_WORKER = 16
+
+
 def _enumerate_arrangement(n: int, threads: int) -> list[Slicing]:
     """Slicings as regions of the arrangement of vertex hyperplanes.
 
     Hyperplanes live in R^(n+1) with coordinates (omega, c); vertex v
-    contributes the hyperplane omega.v + c = 0.  Hyperplanes are inserted
-    one at a time; each known region either keeps its witness or splits,
-    and :func:`_separate` decides each candidate side.  A region is the
-    mask of its positive vertices among those inserted, with a witness.
+    contributes the hyperplane omega.v + c = 0.  Inserting them in index
+    order grows a tree of regions (:func:`_children`), whose leaves at
+    k = 2^n are the slicings.  With more than one worker the top levels
+    are expanded in-process until there are ``SUBTREES_PER_WORKER``
+    subtrees per worker, and one :func:`parallel_map` call walks them
+    (:func:`_subtree`).  The leaves are sorted, so the output does not
+    depend on the thread count.
     """
-    planes = [vertex_coords(v, n) + (1,) for v in all_vertices(n)]
-    # a region is (mask, y, den) with witness y / den; the numerators y
-    # have the witness's sign on each plane
-    regions = [(0, (0,) * (n + 1), 1)]
-    for k, plane in enumerate(planes):
-        inserted = (1 << (k + 1)) - 1
-        kept, candidates = [], []
-        for pos, y, den in regions:
-            value = sum(map(mul, plane, y))
-            if value:
-                kept.append((pos | (value > 0) << k, y, den))
-                candidates.append((n, pos | (value < 0) << k, inserted))
-            else:
-                candidates += [(n, pos | 1 << k, inserted), (n, pos, inserted)]
-        solved = parallel_map(_separate, candidates, threads)
-        regions = kept + [(pos, *witness)
-                          for (_, pos, _), witness in zip(candidates, solved)
-                          if witness is not None]
+    regions = [(0, (0,) * (n + 1), 1, _Tableau(n + 1))]
+    k = 0
+    count = workers(threads)
+    wanted = 1 if count == 1 else SUBTREES_PER_WORKER * count
+    while len(regions) < wanted and k < 1 << n:
+        regions = [child for region in regions
+                   for child in _children(n, k, region)]
+        k += 1
     slicings = []
-    for mask, y, den in regions:
-        pos = frozenset(v for v in all_vertices(n) if mask >> v & 1)
-        slicings.append(_witnessed(n, pos, y, den))
+    for leaves in parallel_map(_subtree, [(n, k, r) for r in regions],
+                               threads):
+        for mask, y, den in leaves:
+            pos = frozenset(v for v in all_vertices(n) if mask >> v & 1)
+            slicings.append(_witnessed(n, pos, y, den))
     return sorted(slicings, key=Slicing.sort_key)
+
+
+def _subtree(args) -> list[tuple[int, list[int], int]]:
+    """The leaves (mask, y, den) under ``region`` of hyperplanes 0..k-1,
+    with ``args`` = (n, k, region), depth first: the stack holds at most
+    two regions, and so two tableaux, per level."""
+    n, k, region = args
+    leaves, stack = [], [(k, region)]
+    while stack:
+        k, region = stack.pop()
+        if k == 1 << n:
+            leaves.append(region[:3])
+        else:
+            stack += [(k + 1, child) for child in _children(n, k, region)]
+    return leaves
+
+
+def _children(n: int, k: int, region) -> list:
+    """The regions of hyperplanes 0..k inside ``region`` of 0..k-1.
+
+    A region is (pos, y, den, lp): the mask of its positive vertices
+    among 0..k-1, the witness y / den, and the margin LP of its
+    vertices 0..j-1 for some j <= k.  The side of hyperplane k where y
+    lies keeps y and the same lp, which :func:`_split` may extend in
+    place; each other side is decided by :func:`_split`.
+    """
+    pos, y, den, lp = region
+    plane, _ = _signed_rows(n)[k][1]  # (v_k, 1)
+    value = sum(map(mul, plane, y))
+    if value:
+        children = [(pos | (value > 0) << k, y, den, lp)]
+        sides = [value < 0]
+    else:
+        children, sides = [], [1, 0]
+    for side in sides:
+        child = pos | side << k
+        split = _split(n, k, child, lp)
+        if split is not None:
+            children.append((child, *split))
+    return children
+
+
+def _split(n: int, k: int, pos: int, lp: _Tableau):
+    """The witness (y, den) and tableau of the split ``pos`` of the
+    vertices 0..k, or None when it is not separable; its restriction to
+    0..k-1 is separable, with margin LP ``lp`` over vertices 0..j-1.
+
+    A parallelogram through k refutes the split without an LP.
+    Otherwise ``lp`` takes the rows j..k-1 in place and a copy takes row
+    k, so the LP solved is the one :func:`_separate` would solve, with
+    the same witness; the witness is re-checked on every row.
+    """
+    if _refuted_through(pos, k, n):
+        return None
+    rows = _signed_rows(n)
+    while lp.ncon < k:
+        lp.add(*rows[lp.ncon][pos >> lp.ncon & 1])
+    lp = lp.copy()
+    lp.add(*rows[k][pos >> k & 1])
+    strict = [rows[v][pos >> v & 1] for v in range(k + 1)]
+    witness = _rechecked(lp.solve(_box(n + 1)), strict)
+    return None if witness is None else (*witness, lp)
 
 
 @lru_cache(maxsize=None)

@@ -25,11 +25,18 @@ Bland's anti-cycling rule, so no floating point enters any verdict.
 Until its first non-degenerate pivot every constraint row keeps
 right-hand side 0, so the tableau holds only the constraint rows and
 the objective; the box rows are built from the basis at that pivot, and
-they are exactly the rows the full tableau would hold there.  Returned
-witnesses are re-checked by direct substitution before being handed
-back.  The slicing queries of :mod:`trbm.cube` hand their integer rows
-to :func:`_margin_lp` directly, with the same box (:func:`_box`), and
-re-check the witness themselves.
+they are exactly the rows the full tableau would hold there.
+
+Row addition: a tableau stopped at the end of that degenerate phase
+can take one more constraint row, built from its basis.  The new slack
+has the largest label, so Bland's ratio test passed it over at every
+pivot made so far; rows added one at a time give the pivots, ``den`` and
+witness of the same rows built at once (:class:`_Tableau`).
+
+Returned witnesses are re-checked by direct substitution before being
+handed back.  The slicing queries of :mod:`trbm.cube` hand their integer
+rows to :func:`_margin_lp` or :class:`_Tableau` directly, with the same
+box (:func:`_box`), and re-check the witness themselves.
 """
 
 from __future__ import annotations
@@ -165,7 +172,15 @@ def _margin_lp(rows, nvars, box: int):
 
     Returns the numerators of y over their common positive denominator,
     or None when the exact optimum is t = 0 (the zero point is always
-    feasible, so the optimum is never negative).
+    feasible, so the optimum is never negative).  All rows are built at
+    once (:class:`_Tableau`), then the LP is solved.
+    """
+    return _Tableau(nvars, rows).solve(box)
+
+
+class _Tableau:
+    """The margin LP of :func:`_margin_lp` over the rows given so far,
+    stopped at the end of its degenerate phase.
 
     With y = u - w the rows read -a.u + a.w + s t <= 0 and u, w <= box
     over u, w, t >= 0, so the slack basis is feasible and one simplex
@@ -177,54 +192,121 @@ def _margin_lp(rows, nvars, box: int):
     tableau's.  Bland's rule enters the smallest label with a positive
     objective entry and breaks ratio-test ties by the smallest basic
     label, so the pivots, the optimum, y and ``den`` are those of the
-    full tableau.
+    full tableau.  Labels: u_0..u_{n-1}, w_0..w_{n-1}, t, then one slack
+    per constraint row in row order, then the box rows' slacks.
 
-    The box rows join the tableau at the first non-degenerate pivot.
-    Until then every constraint row keeps right-hand side 0 and every box
-    row a positive one, so the ratio test takes the smallest basic label
-    among the constraint rows with a positive entry, and an objective
-    row with no positive entry ends the LP at t = 0 with no box row
-    built.  When no constraint row bounds the entering column,
-    :func:`_box_rows` builds the box rows from the basis; a basis
-    determines its fraction-free tableau, so they are the full tableau's
-    rows.  Both phases pivot through :func:`_pivot`.
+    Until the first non-degenerate pivot every constraint row keeps
+    right-hand side 0 and every box row a positive one, so the ratio
+    test takes the smallest basic label among the constraint rows with a
+    positive entry (:meth:`_degenerate`), and the tableau holds only the
+    constraint rows and the objective, kept last.  The phase stops when
+    the objective has no positive entry (the optimum is t = 0) or when
+    no constraint row bounds the entering column ``enter``.
+
+    :meth:`add` appends a constraint row in that state.  Its slack has
+    the largest label, so the ratio test passed it over at every pivot
+    made so far: those are the first pivots of the LP with it.  A basis
+    determines its fraction-free tableau, so the row built from the
+    basis is the one those pivots would have left.  Rows added one at a
+    time therefore give the pivots, ``den`` and witness of the same rows
+    built at once.  :meth:`solve` leaves the tableau as it is, and a
+    :meth:`copy` shares its rows, since no step writes into a row.
     """
-    # labels: u_0..u_{n-1}, w_0..w_{n-1}, t, then one slack per row
-    nstruct = 2 * nvars + 1
-    tab = [[-x for x in a] + [*a, s, 0] for a, s in rows]
-    ncon = len(tab)
-    tab.append([0] * (2 * nvars) + [1, 0])  # the objective row, kept last
-    nonbasic = list(range(nstruct))
-    basis = list(range(nstruct, nstruct + ncon))
-    den = 1
-    boxed = False
 
-    while True:
-        obj = tab[-1]
-        enter = min((j for j in range(nstruct) if obj[j] > 0),
-                    key=nonbasic.__getitem__, default=None)
-        if enter is None:
-            break
-        if not boxed:
-            leave = min((i for i in range(ncon) if tab[i][enter] > 0),
+    __slots__ = ("nvars", "tab", "basis", "nonbasic", "den", "enter")
+
+    def __init__(self, nvars: int, rows=()):
+        self.nvars = nvars
+        self.tab = [[-x for x in a] + [*a, s, 0] for a, s in rows]
+        self.tab.append([0] * (2 * nvars) + [1, 0])
+        self.nonbasic = list(range(2 * nvars + 1))
+        self.basis = list(range(2 * nvars + 1, 2 * nvars + 1 + len(rows)))
+        self.den = 1
+        self._degenerate()
+
+    @property
+    def ncon(self) -> int:
+        """The number of constraint rows."""
+        return len(self.basis)
+
+    def copy(self) -> "_Tableau":
+        other = _Tableau.__new__(_Tableau)
+        other.nvars, other.den, other.enter = self.nvars, self.den, self.enter
+        other.tab = list(self.tab)
+        other.basis, other.nonbasic = list(self.basis), list(self.nonbasic)
+        return other
+
+    def add(self, a, s) -> None:
+        """Append the row a.y >= s t in the current basis, then go on
+        with the degenerate phase.
+
+        The row -a.u + a.w + s t + slack = 0 has coefficient c_l on the
+        structural label l.  A nonbasic l in column q contributes
+        ``den c_l e_q``; an l basic in row R contributes ``-c_l R``,
+        since den x_l equals R_rhs minus R's nonbasic terms.  Every
+        constraint right-hand side is 0 here, so the new row's is too.
+        """
+        nstruct = 2 * self.nvars + 1
+        coef = [-x for x in a] + [*a, s]
+        row = [self.den * coef[label] if label < nstruct else 0
+               for label in self.nonbasic] + [0]
+        for i, label in enumerate(self.basis):
+            if label < nstruct and coef[label]:
+                c = coef[label]
+                row = [x - c * r for x, r in zip(row, self.tab[i])]
+        self.tab.insert(self.ncon, row)
+        self.basis.append(nstruct + self.ncon)
+        self._degenerate()
+
+    def _degenerate(self) -> None:
+        """Degenerate pivots until the objective has no positive entry
+        (``enter`` None) or no constraint row bounds column ``enter``."""
+        tab, basis, nonbasic = self.tab, self.basis, self.nonbasic
+        while True:
+            self.enter = enter = _entering(tab[-1], nonbasic)
+            if enter is None:
+                return
+            leave = min((i for i in range(len(basis)) if tab[i][enter] > 0),
                         key=basis.__getitem__, default=-1)
             if leave < 0:
-                tab[ncon:ncon] = _box_rows(tab, basis, nonbasic, nvars,
-                                           box, den)
-                basis += range(nstruct + ncon, nstruct + ncon + 2 * nvars)
-                boxed = True
-        if boxed:
-            leave = _ratio_test(tab, basis, enter)
-        den = _pivot(tab, leave, enter, den)
-        basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
+                return
+            self.den = _pivot(tab, leave, enter, self.den)
+            basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
 
-    if tab[-1][-1] >= 0:
-        return None  # the optimum -obj[-1] / den is t = 0
-    values = [0] * nstruct
-    for i, label in enumerate(basis):
-        if label < nstruct:
-            values[label] = tab[i][-1]
-    return [values[j] - values[nvars + j] for j in range(nvars)], den
+    def solve(self, box: int):
+        """The witness (y, den) of the LP with its box rows, or None.
+
+        :func:`_box_rows` builds the box rows from the basis, and the
+        general ratio test (:func:`_ratio_test`) takes over.
+        """
+        tab, basis, nonbasic = list(self.tab), list(self.basis), \
+            list(self.nonbasic)
+        den, enter, nvars = self.den, self.enter, self.nvars
+        if enter is not None:
+            ncon = len(basis)
+            tab[ncon:ncon] = _box_rows(tab, basis, nonbasic, nvars, box, den)
+            basis += range(2 * nvars + 1 + ncon,
+                           2 * nvars + 1 + ncon + 2 * nvars)
+        while enter is not None:
+            leave = _ratio_test(tab, basis, enter)
+            den = _pivot(tab, leave, enter, den)
+            basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
+            enter = _entering(tab[-1], nonbasic)
+
+        if tab[-1][-1] >= 0:
+            return None  # the optimum -obj[-1] / den is t = 0
+        values = [0] * (2 * nvars + 1)
+        for i, label in enumerate(basis):
+            if label < 2 * nvars + 1:
+                values[label] = tab[i][-1]
+        return [values[j] - values[nvars + j] for j in range(nvars)], den
+
+
+def _entering(obj, nonbasic) -> Optional[int]:
+    """Bland's entering column: the smallest label with a positive
+    objective entry, or None at the optimum."""
+    return min((j for j in range(len(nonbasic)) if obj[j] > 0),
+               key=nonbasic.__getitem__, default=None)
 
 
 def _box_rows(tab, basis, nonbasic, nvars, box, den):
@@ -275,6 +357,8 @@ def _pivot(tab, leave, enter, den) -> int:
 
     Every update divides exactly by the old ``den``; the leaving
     variable takes over column ``enter``, where its row holds ``den``.
+    Changed rows are replaced, never written into, so tableaux may
+    share rows.
     """
     prow = tab[leave]
     piv = prow[enter]
@@ -288,5 +372,6 @@ def _pivot(tab, leave, enter, den) -> int:
             tab[i] = row
         elif piv != den:
             tab[i] = [piv * x // den for x in row]
+    tab[leave] = prow = list(prow)
     prow[enter] = den
     return piv

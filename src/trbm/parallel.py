@@ -11,11 +11,17 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
 
+def workers(threads: int) -> int:
+    """The number of processes :func:`parallel_map` may use: at most
+    ``os.cpu_count()``."""
+    return min(threads, os.cpu_count() or 1)
+
+
 def parallel_map(fn: Callable, items: Sequence, threads: int = 1) -> list:
     """Order-preserving map, optionally fanned out over at most
     ``os.cpu_count()`` processes."""
     items = list(items)
-    threads = min(threads, os.cpu_count() or 1)
+    threads = workers(threads)
     if threads <= 1 or len(items) < 4 * threads:
         return [fn(x) for x in items]
     chunk = max(1, len(items) // (threads * 8))

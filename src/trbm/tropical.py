@@ -29,6 +29,9 @@ from .parallel import parallel_map
 Q = Fraction
 
 EXHAUSTIVE_GUARD = 20_000
+# greedy_random draws slicings by listing all 2^n vertex margins:
+# n = 15 at k = 2 takes half a second, n = 16 at k = 1 over a minute
+GREEDY_LIMIT = 15
 
 
 @dataclass(frozen=True)
@@ -265,6 +268,9 @@ def tropical_dimension(n: int, k: int, strategy: str = "exhaustive",
         max_rank = _slicing_rank(n, [s.mask for s in witness])
         certified = False
     elif strategy == "greedy_random":
+        if n > GREEDY_LIMIT:
+            raise ValueError(f"greedy_random needs n <= {GREEDY_LIMIT}, "
+                             f"got n={n}")
         max_rank, witness = _search_greedy(n, k, seed, restarts)
         certified = False
     else:

@@ -372,6 +372,14 @@ def test_dim_code_based_n_outside_its_range_exits_2(n, capsys):
     assert err == f"error: code_based needs 2 <= n <= 15, got n={n}\n"
 
 
+@pytest.mark.parametrize("n", ["16", "40"])
+def test_dim_greedy_random_n_above_its_limit_exits_2(n, capsys):
+    code, out, err = run(capsys, "dim", "--n", n, "--k", "1",
+                         "--strategy", "greedy_random")
+    assert (code, out) == (2, "")
+    assert err == f"error: greedy_random needs n <= 15, got n={n}\n"
+
+
 @pytest.mark.parametrize("value", ["1/0", "abc"])
 def test_member_point_file_non_rational_exits_2(value, tmp_path, capsys):
     point = tmp_path / "q.txt"

@@ -11,7 +11,7 @@ from trbm.cube import (Slicing, _enumerate_arrangement, _enumerate_brute,
                        cube_symmetries, enumerate_slicings, is_slicing,
                        read_slicings, subset_mask, vertex_coords,
                        vertex_index, write_slicings)
-from trbm.lp import LinearSystem, solve_feasibility
+from trbm.lp import LinearSystem, _Tableau, solve_feasibility
 
 
 def test_vertex_indexing_is_lexicographic():
@@ -119,13 +119,14 @@ def test_enumeration_guards():
 
 def test_threads_match_single():
     # uncached runs, so that the threaded ones really start pools
-    for enumerate_ in (_enumerate_arrangement, _enumerate_brute):
-        single = enumerate_(3, 1)
-        multi = enumerate_(3, 2)
+    for enumerate_, n in ((_enumerate_arrangement, 3),
+                          (_enumerate_arrangement, 4), (_enumerate_brute, 3)):
+        single = enumerate_(n, 1)
+        multi = enumerate_(n, 2)
         assert [(s.mask, s.omega, s.c) for s in single] \
             == [(s.mask, s.omega, s.c) for s in multi]
         assert [s.mask for s in single] \
-            == [s.mask for s in enumerate_slicings(3, threads=2)]
+            == [s.mask for s in enumerate_slicings(n, threads=2)]
 
 
 def test_slicing_file_roundtrip():
@@ -201,6 +202,34 @@ def test_parallelogram_on_partial_labellings():
     assert certificate_holds(quad, 0b10000001, 0b00011000, 3)
 
 
+def test_refutation_through_the_new_vertex():
+    # a split of 0..k whose restriction to 0..k-1 is separable has a
+    # parallelogram certificate iff it has one through k; the separable
+    # splits of 0..k-1 are the census masks cut to their low k bits
+    refuted = 0
+    for n in (1, 2, 3, 4):
+        masks = [s.mask for s in enumerate_slicings(n)]
+        for k in all_vertices(n):
+            inserted = (1 << (k + 1)) - 1
+            for low in {mask & (inserted >> 1) for mask in masks}:
+                for pos in (low, low | 1 << k):
+                    verdict = cube._refuted_through(pos, k, n)
+                    assert verdict == (
+                        _parallelogram(pos, inserted ^ pos) is not None)
+                    refuted += verdict
+    assert refuted > 1000
+
+
+def test_corrupted_parallelogram_certificate_raises(monkeypatch):
+    # 3 + 1 != 0 + 2 as vectors of the square, though the indices agree
+    monkeypatch.setattr(cube, "_through", lambda k: ((1, 0, 2),))
+    for pos in (0b1010, 0b0101):  # vertex 3 on either side
+        with pytest.raises(AssertionError, match="re-validation"):
+            cube._refuted_through(pos, 3, 2)
+    with pytest.raises(AssertionError, match="re-validation"):
+        _enumerate_arrangement(2, 1)
+
+
 def test_slicing_rejects_zero_and_negative_near_misses():
     d = 10 ** 30 + 7
     with pytest.raises(ValueError):  # vertex 11 has margin exactly 0
@@ -258,13 +287,14 @@ def test_slicing_rejects_a_non_vertex():
 
 
 def test_separation_witness_is_rechecked(monkeypatch):
-    margin_lp = cube._margin_lp
+    # every margin LP of is_slicing and of the census ends in this solve
+    solve = _Tableau.solve
 
-    def corrupted(rows, nvars, box):  # the constant term's sign flipped
-        y, den = margin_lp(rows, nvars, box)
+    def corrupted(tableau, box):  # the constant term's sign flipped
+        y, den = solve(tableau, box)
         return [*y[:-1], -y[-1]], den
 
-    monkeypatch.setattr(cube, "_margin_lp", corrupted)
+    monkeypatch.setattr(_Tableau, "solve", corrupted)
     with pytest.raises(AssertionError, match="re-validation"):
         is_slicing({0b111}, 3)
     with pytest.raises(AssertionError, match="re-validation"):
@@ -281,20 +311,22 @@ def test_is_slicing_witnesses_are_those_of_solve_feasibility():
 
 
 def test_arrangement_witnesses_are_those_of_solve_feasibility(monkeypatch):
-    separate = cube._separate
+    # every split the census decides, refuted or solved, goes through
+    # _split; its witness must be that of the split's whole system
+    split = cube._split
     for n in (1, 2, 3):
         found = set()
 
-        def checked(args):
-            result = separate(args)
-            _, pos, side = args
+        def checked(n_, k, pos, lp):
+            result = split(n_, k, pos, lp)
             witness = None if result is None else tuple(
                 Q(v, result[1]) for v in result[0])
+            side = (1 << (k + 1)) - 1
             assert witness == solve_feasibility(separation(pos, n, side))
             found.add(witness)
             return result
 
-        monkeypatch.setattr(cube, "_separate", checked)
+        monkeypatch.setattr(cube, "_split", checked)
         census = _enumerate_arrangement(n, 1)
         assert len(census) == (4, 14, 104)[n - 1]
         assert {(*s.omega, s.c) for s in census} <= found

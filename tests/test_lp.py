@@ -302,3 +302,72 @@ def test_margin_lp_matches_full_tableau_oracle():
     for event in ("degenerate_end", "basic_box", "phase2_pivots", "box_tie",
                   "box_tie_decided"):
         assert seen[event] > 0, (event, seen)
+
+
+@st.composite
+def margin_rows(draw):
+    """Margin LP rows (a, s) over 1..4 unknowns with s in 0..2, the first
+    one strict so that every prefix bounds t, and the number m of them
+    to build at once."""
+    nvars = draw(st.integers(1, 4))
+    a = st.tuples(*[st.integers(-3, 3)] * nvars)
+    rows = [draw(st.tuples(a, st.integers(1, 2)))]
+    rows += draw(st.lists(st.tuples(a, st.integers(0, 2)), max_size=7))
+    return nvars, rows, draw(st.integers(0, len(rows)))
+
+
+def test_added_rows_match_full_tableau_oracle():
+    """A tableau built from the first m rows and given the others one at
+    a time by ``add`` solves, after every row, to the oracle's (y, den)
+    or None for the rows so far, through the oracle's pivots."""
+    seen = Counter()
+    pivot = lp._pivot
+    pivots, leaves = [], []
+
+    def recorded(tab, leave, enter, den):
+        pivots.append(tab[leave][enter])
+        leaves.append(leave)
+        return pivot(tab, leave, enter, den)
+
+    def check(nvars, rows, m):
+        box = lp._box(nvars)
+        pivots.clear()
+        with patch.object(lp, "_pivot", recorded):
+            tableau = lp._Tableau(nvars, rows[:m])
+            for i in range(m, len(rows) + 1):
+                if i > m:
+                    new, made = tableau.ncon, len(leaves)
+                    seen["add_stopped" if tableau.enter is not None
+                         else "add_at_optimum"] += 1
+                    seen["add_with_den"] += tableau.den > 1
+                    tableau.add(*rows[i - 1])
+                    seen["pivot_on_new_row"] += new in leaves[made:]
+                if i == 0:
+                    continue  # no row bounds t yet
+                kept, expected = len(pivots), []
+                got = tableau.solve(box)
+                assert got == full_tableau_margin_lp(rows[:i], nvars, box,
+                                                     expected)
+                assert pivots == expected
+                del pivots[kept:]
+
+    @settings(max_examples=400, derandomize=True, database=None,
+              deadline=None)
+    @given(margin_rows())
+    def check_rows(case):
+        check(*case)
+
+    @settings(max_examples=100, derandomize=True, database=None,
+              deadline=None)
+    @given(st.integers(1, 254), st.integers(0, 8))
+    def check_split(mask, m):
+        rows = [((*(s * x for x in vertex_coords(v, 3)), s), 1)
+                for v, s in ((v, 1 if mask >> v & 1 else -1)
+                             for v in all_vertices(3))]
+        check(4, rows, m)
+
+    check_rows()
+    check_split()
+    for event in ("add_stopped", "add_at_optimum", "add_with_den",
+                  "pivot_on_new_row"):
+        assert seen[event] > 0, (event, seen)

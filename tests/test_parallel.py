@@ -1,4 +1,5 @@
 import trbm.parallel
+from trbm.cube import _enumerate_arrangement
 from trbm.parallel import parallel_map
 
 
@@ -36,3 +37,15 @@ def test_unknown_cpu_count_runs_in_process(monkeypatch):
     RecordingPool.seen.clear()
     assert parallel_map(abs, [-1, 2] * 100, threads=8) == [1, 2] * 100
     assert RecordingPool.seen == []
+
+
+def test_census_starts_at_most_one_pool(monkeypatch):
+    monkeypatch.setattr(trbm.parallel, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(trbm.parallel.os, "cpu_count", lambda: 2)
+    RecordingPool.seen.clear()
+    single = _enumerate_arrangement(4, 1)
+    assert RecordingPool.seen == []
+    multi = _enumerate_arrangement(4, 2)
+    assert RecordingPool.seen == [2]
+    assert [(s.mask, s.omega, s.c) for s in single] \
+        == [(s.mask, s.omega, s.c) for s in multi]
