@@ -1,13 +1,17 @@
 """Byte-identical CLI transcripts of commands that print exact elimination
 and feasibility results: certified dimensions with their witnesses, facet
 counts, homology ranks, membership witnesses, flattening ranks,
-covariances and the slicing witnesses of the arrangement census.
+covariances and the slicing witnesses of the arrangement census, and the
+text, ``--json`` and ``--out`` forms of every command that can write its
+result to a file.
 
 ``golden_cli.json`` holds the stdout and exit code of each case, recorded
 from the rational Gauss-Jordan implementation of ``trbm.linalg``; the
 census cases were recorded from the full-tableau simplex of ``trbm.lp``.
 Any change to the elimination core or the simplex must reproduce them
 byte for byte.  Long outputs are pinned by the SHA-256 of their stdout.
+The cases of ``OUT_CASES`` and ``OUT_DIGEST_CASES`` also pin the bytes
+of the ``--out`` file, or that none is written.
 """
 
 import hashlib
@@ -36,6 +40,21 @@ MEMBER_POINT = ["0", "-1/2", "0", "-1/2", "1", "2", "1", "1"]
 PARITY_POINT = ["1" if bin(v).count("1") % 2 == 0 else "0" for v in range(8)]
 
 DIST_WEIGHTS = [3, 1, 4, 1, 5, 9, 2, 6]
+OTHER_WEIGHTS = [2, 7, 1, 8, 2, 8, 1, 8]
+
+# Parameters with no visible state on a hidden unit's hyperplane, so that
+# the explanation map is defined.
+TROP_PARAMS = {"W": [["2", "-1", "3/2"], ["1", "1", "-1"]],
+               "b": ["1", "0", "-1/2"], "c": ["-7/3", "1/3"]}
+JOINT_PARAMS = {"beta": ["1", "1/2", "3"], "gamma": ["2", "1/3"],
+                "omega": [["1", "2", "1/2"], ["3", "1", "1/4"]]}
+MIXTURE_PARAMS = {"lambda": "1/3", "delta": ["1/2", "1/4", "2/3"],
+                  "epsilon": ["1/3", "2/3", "1/5"]}
+# A length-5 code of minimum distance 3, and a polynomial whose initial
+# form at WEIGHTS keeps its first two terms.
+CODE = ["00000", "11100", "00111", "11011"]
+POLY = ["1 * p_00 p_11", "-1 * p_01 p_10", "2 * p_00^2"]
+WEIGHTS = ["1", "2", "2", "3"]
 
 CASES = {
     "dim_3_1": ["dim", "--n", "3", "--k", "1", "--json"],
@@ -51,11 +70,67 @@ CASES = {
     "covariance": ["rbm", "covariance", "--dist", "{dist}"],
     "covariance_json": ["rbm", "covariance", "--dist", "{dist}", "--json"],
     "slicings_3": ["slicings", "--n", "3"],
+    "phi": ["phi", "--params", "{params}"],
+    "phi_json": ["phi", "--params", "{params}", "--json"],
+    "infer": ["infer", "--params", "{params}"],
+    "infer_json": ["infer", "--params", "{params}", "--json"],
+    "hamming_3": ["codes", "hamming", "--ell", "3"],
+    "hamming_3_json": ["codes", "hamming", "--ell", "3", "--json"],
+    "to_slicings": ["codes", "to-slicings", "--code", "{code}"],
+    "joint": ["rbm", "joint", "--params", "{joint}"],
+    "joint_json": ["rbm", "joint", "--params", "{joint}", "--json"],
+    "mixture": ["rbm", "mixture", "--params", "{mixture}"],
+    "mixture_json": ["rbm", "mixture", "--params", "{mixture}", "--json"],
+    "hadamard": ["rbm", "hadamard", "--dist", "{dist}", "--dist", "{other}"],
+    "hadamard_json": ["rbm", "hadamard", "--dist", "{dist}", "--dist",
+                      "{other}", "--dist", "{dist}", "--json"],
+    "minors": ["tropvar", "minors", "--n", "4", "--split", "1,2"],
+    "minors_json": ["tropvar", "minors", "--n", "4", "--split", "1,2",
+                    "--json"],
+    "initial_form": ["tropvar", "initial-form", "--n", "2", "--poly",
+                     "{poly}", "--weights", "{weights}"],
+    "initial_form_json": ["tropvar", "initial-form", "--n", "2", "--poly",
+                          "{poly}", "--weights", "{weights}", "--json"],
+    "dim_greedy_3_2": ["dim", "--n", "3", "--k", "2", "--strategy",
+                       "greedy_random", "--seed", "0", "--json"],
+    "dim_greedy_5_3": ["dim", "--n", "5", "--k", "3", "--strategy",
+                       "greedy_random", "--seed", "1", "--json"],
+    "dim_greedy_15_2": ["dim", "--n", "15", "--k", "2", "--strategy",
+                        "greedy_random", "--seed", "0", "--json"],
 }
 
 # The n = 4 census prints 1882 witnesses: only its digest is stored.
 DIGEST_CASES = {
     "slicings_4": ["slicings", "--n", "4"],
+    "triangulations": ["fan", "triangulations"],
+    "triangulations_json": ["fan", "triangulations", "--json"],
+}
+
+# Runs that name an --out file: with --json the document goes to stdout
+# and no file is written; fan tm13 always prints its JSON.
+OUT_CASES = {
+    "slicings_3_out": ["slicings", "--n", "3", "--out", "{out}"],
+    "phi_out": ["phi", "--params", "{params}", "--out", "{out}"],
+    "phi_json_out": ["phi", "--params", "{params}", "--json",
+                     "--out", "{out}"],
+    "hamming_3_out": ["codes", "hamming", "--ell", "3", "--out", "{out}"],
+    "to_slicings_out": ["codes", "to-slicings", "--code", "{code}",
+                        "--json", "--out", "{out}"],
+    "joint_out": ["rbm", "joint", "--params", "{joint}", "--out", "{out}"],
+    "mixture_out": ["rbm", "mixture", "--params", "{mixture}",
+                    "--out", "{out}"],
+    "hadamard_out": ["rbm", "hadamard", "--dist", "{dist}", "--dist",
+                     "{other}", "--out", "{out}"],
+    "minors_out": ["tropvar", "minors", "--n", "4", "--split", "1,2",
+                   "--out", "{out}"],
+    "initial_form_out": ["tropvar", "initial-form", "--n", "2", "--poly",
+                         "{poly}", "--weights", "{weights}",
+                         "--out", "{out}"],
+}
+
+OUT_DIGEST_CASES = {
+    "triangulations_out": ["fan", "triangulations", "--out", "{out}"],
+    "tm13_out": ["fan", "tm13", "--out", "{out}"],
 }
 
 
@@ -73,25 +148,43 @@ def write_inputs(directory: Path) -> dict[str, str]:
         "parity": "\n".join(PARITY_POINT) + "\n",
         "dist": "\n".join(f"{w}/{sum(DIST_WEIGHTS)}"
                           for w in DIST_WEIGHTS) + "\n",
+        "other": "\n".join(f"{w}/{sum(OTHER_WEIGHTS)}"
+                           for w in OTHER_WEIGHTS) + "\n",
+        "params": json.dumps(TROP_PARAMS),
+        "joint": json.dumps(JOINT_PARAMS),
+        "mixture": json.dumps(MIXTURE_PARAMS),
+        "code": "\n".join(["n=5", *CODE]) + "\n",
+        "poly": "\n".join(POLY) + "\n",
+        "weights": "\n".join(WEIGHTS) + "\n",
     }
     paths = {}
     for name, text in files.items():
         path = directory / f"{name}.txt"
         path.write_text(text)
         paths[name] = str(path)
+    paths["out"] = str(directory / "out.txt")
     return paths
 
 
 def transcript(argv: list[str], paths: dict[str, str],
                digest: bool = False) -> dict:
-    """Exit code and stdout (or its SHA-256) of one CLI run."""
+    """Exit code and stdout (or its SHA-256) of one CLI run, and for a
+    run that names ``{out}`` the text (or SHA-256) of that file, None
+    when it is not written."""
     out = io.StringIO()
     with redirect_stdout(out):
         code = main([arg.format(**paths) for arg in argv])
-    if digest:
-        sha = hashlib.sha256(out.getvalue().encode()).hexdigest()
-        return {"exit": code, "stdout_sha256": sha}
-    return {"exit": code, "stdout": out.getvalue()}
+    texts = {"stdout": out.getvalue()}
+    if "{out}" in argv:
+        file = Path(paths["out"])
+        texts["file"] = file.read_text() if file.exists() else None
+    doc = {"exit": code}
+    for key, text in texts.items():
+        if digest and text is not None:
+            doc[f"{key}_sha256"] = hashlib.sha256(text.encode()).hexdigest()
+        else:
+            doc[key] = text
+    return doc
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +193,8 @@ def golden():
 
 
 def test_golden_covers_every_case(golden):
-    assert sorted(golden) == sorted({**CASES, **DIGEST_CASES})
+    assert sorted(golden) == sorted({**CASES, **DIGEST_CASES, **OUT_CASES,
+                                     **OUT_DIGEST_CASES})
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -111,4 +205,15 @@ def test_cli_transcript_is_byte_identical(name, golden, tmp_path):
 @pytest.mark.parametrize("name", sorted(DIGEST_CASES))
 def test_cli_transcript_digest_is_identical(name, golden, tmp_path):
     assert (transcript(DIGEST_CASES[name], write_inputs(tmp_path),
+                       digest=True) == golden[name])
+
+
+@pytest.mark.parametrize("name", sorted(OUT_CASES))
+def test_cli_out_file_is_byte_identical(name, golden, tmp_path):
+    assert transcript(OUT_CASES[name], write_inputs(tmp_path)) == golden[name]
+
+
+@pytest.mark.parametrize("name", sorted(OUT_DIGEST_CASES))
+def test_cli_out_file_digest_is_identical(name, golden, tmp_path):
+    assert (transcript(OUT_DIGEST_CASES[name], write_inputs(tmp_path),
                        digest=True) == golden[name])
