@@ -13,61 +13,68 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from . import fan as fan_mod
 from . import polynomials as poly_mod
-from .codes import (covering_radius, exact_small_values, hamming_code,
-                    min_distance, read_code, table_known_bounds,
-                    code_to_slicings, varshamov_lower, covering_upper,
-                    write_code)
+from .codes import (BOUNDS_LIMIT, covering_radius, exact_small_values,
+                    hamming_code, min_distance, read_code,
+                    table_known_bounds, code_to_slicings, varshamov_lower,
+                    covering_upper, write_code)
 from .cube import (count_zonotope_facets, enumerate_slicings,
-                   write_slicings)
-from .rbmstats import (Distribution, ExpParams, MixtureParams,
+                   write_slicings, write_vertex_values)
+from .rbmstats import (ExpParams, MixtureParams,
                        check_membership_necessary, covariance_matrix,
                        hadamard_product, joint_distribution,
                        max_flattening_rank, mixture_distribution,
-                       read_distribution, write_distribution)
+                       read_distribution)
 from .tropical import (AmbiguousArgmax, TropParams, inference_function,
                        read_tropical_point, tropical_dimension,
-                       tropical_membership, tropical_morphism,
-                       write_tropical_point)
+                       tropical_membership, tropical_morphism)
 
 Q = Fraction
 ENV_THREADS = "TRBM_THREADS"  # the worker count when --threads is not given
 
 
-def q_str(x: Fraction) -> str:
-    return str(x)
-
-
 def q_list(xs) -> list[str]:
-    return [q_str(x) for x in xs]
+    return [str(x) for x in xs]
 
 
-def _emit(doc: dict, args, plain: str) -> None:
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _emit(doc, args, plain: Optional[str] = None, write=None) -> None:
+    """``doc`` as JSON on stdout under ``--json``, else ``plain`` on
+    stdout or, when it is None, the output of :func:`_write`.
+
+    ``doc`` may be a function that builds the document, for listings
+    that are turned into JSON only when it is asked for.
+    """
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
+        print(_json(doc() if callable(doc) else doc))
+    elif write is None:
         print(plain)
-
-
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-@contextmanager
-def _output(args):
-    """The ``--out`` file if one is given, else stdout; a file is closed
-    on exit, also when the handler raises."""
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            yield fh
     else:
-        yield sys.stdout
+        _write(write, args)
+
+
+def _write(write, args) -> None:
+    """``write`` called with the ``--out`` file if one is given, else
+    with stdout."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            write(fh)
+    else:
+        write(sys.stdout)
+
+
+def _read(path: str, reader):
+    """What ``reader`` reads from the file at ``path``."""
+    with open(path) as fh:
+        return reader(fh)
 
 
 def _require(args, **fields):
@@ -91,7 +98,7 @@ def _rationals(value, depth: int, where: str):
 
 def _load_params(path: str, *keys: tuple[str, int]) -> list:
     """Values of the (key, list depth) pairs ``keys`` in a params file."""
-    doc = _load_json(path)
+    doc = _read(path, json.load)
     if not isinstance(doc, dict):
         raise ValueError(f"params file {path} must hold a JSON object")
     for key, _ in keys:
@@ -105,55 +112,41 @@ def _trop_params(path: str) -> TropParams:
     return TropParams.build(*_load_params(path, ("W", 2), ("b", 1), ("c", 1)))
 
 
-def cmd_slicings(args) -> int:
+def cmd_slicings(args) -> None:
     slicings = enumerate_slicings(args.n, strategy=args.strategy,
                                   allow_long=args.allow_long,
                                   threads=args.threads)
+    doc = {"n": args.n, "strategy": args.strategy, "count": len(slicings)}
     if args.count:
-        _emit({"n": args.n, "strategy": args.strategy,
-               "count": len(slicings)}, args, str(len(slicings)))
-        return 0
-    if args.json:
-        doc = {"n": args.n, "strategy": args.strategy,
-               "count": len(slicings),
-               "slicings": [{"pos": format(s.mask, "x"),
-                             "c": q_str(s.c),
-                             "omega": q_list(s.omega)} for s in slicings]}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        _emit(doc, args, str(len(slicings)))
     else:
-        with _output(args) as out:
-            write_slicings(slicings, out)
-    return 0
+        _emit(lambda: dict(doc, slicings=[
+                  {"pos": format(s.mask, "x"), "c": str(s.c),
+                   "omega": q_list(s.omega)} for s in slicings]),
+              args, write=partial(write_slicings, slicings))
 
 
-def cmd_zonotope(args) -> int:
+def cmd_zonotope(args) -> None:
     facets = count_zonotope_facets(args.n)
     _emit({"n": args.n, "facets": facets}, args, str(facets))
-    return 0
 
 
-def cmd_phi(args) -> int:
+def cmd_phi(args) -> None:
     point = tropical_morphism(_trop_params(args.params))
-    if args.json:
-        print(json.dumps({"n": point.n, "values": q_list(point.values)},
-                         indent=2, sort_keys=True))
-    else:
-        with _output(args) as out:
-            write_tropical_point(point, out)
-    return 0
+    _emit({"n": point.n, "values": q_list(point.values)}, args,
+          write=partial(write_vertex_values, point.values))
 
 
-def cmd_infer(args) -> int:
+def cmd_infer(args) -> None:
     params = _trop_params(args.params)
     mapping = inference_function(params)
     pairs = [(format(v, f"0{params.n}b"), format(h, f"0{params.k}b"))
              for v, h in sorted(mapping.items())]
     _emit({"n": params.n, "k": params.k, "map": dict(pairs)}, args,
           "\n".join(f"{v} -> {h}" for v, h in pairs))
-    return 0
 
 
-def cmd_dim(args) -> int:
+def cmd_dim(args) -> None:
     result = tropical_dimension(args.n, args.k, strategy=args.strategy,
                                 seed=args.seed, restarts=args.restarts,
                                 allow_long=args.allow_long,
@@ -165,17 +158,14 @@ def cmd_dim(args) -> int:
     _emit(doc, args,
           f"dim={result.dim} max_rank={result.max_rank} "
           f"certified={result.certified}")
-    return 0
 
 
-def cmd_member(args) -> int:
-    with open(args.point) as fh:
-        point = read_tropical_point(fh)
-    res = tropical_membership(point)
+def cmd_member(args) -> None:
+    res = tropical_membership(_read(args.point, read_tropical_point))
     if res.member:
         doc = {"member": True, "slicing": format(res.slicing.mask, "x"),
                "b": q_list(res.visible_bias), "omega": q_list(res.omega),
-               "c": q_str(res.c), "shift": q_str(res.shift)}
+               "c": str(res.c), "shift": str(res.shift)}
         plain = (f"member slicing={res.slicing.mask:x} "
                  f"b={','.join(q_list(res.visible_bias))} "
                  f"omega={','.join(q_list(res.omega))} "
@@ -184,36 +174,31 @@ def cmd_member(args) -> int:
         doc = {"member": False}
         plain = "not member"
     _emit(doc, args, plain)
-    return 0
 
 
-def cmd_codes(args) -> int:
+def cmd_codes(args) -> None:
     if args.codes_op == "hamming":
         _require(args, ell=args.ell)
         code = hamming_code(args.ell)
-        if args.json:
-            print(json.dumps({"n": code.n, "size": len(code.words),
-                              "words": [format(w, f"0{code.n}b")
-                                        for w in code.sorted_words()]},
-                             indent=2, sort_keys=True))
-        else:
-            with _output(args) as out:
-                write_code(code, out)
-        return 0
-    if args.codes_op == "analyze":
+        _emit({"n": code.n, "size": len(code.words),
+               "words": [format(w, f"0{code.n}b")
+                         for w in code.sorted_words()]},
+              args, write=partial(write_code, code))
+    elif args.codes_op == "analyze":
         _require(args, code=args.code)
-        with open(args.code) as fh:
-            code = read_code(fh)
+        code = _read(args.code, read_code)
+        radius = covering_radius(code)
         dist = min_distance(code) if len(code.words) >= 2 else None
         doc = {"n": code.n, "size": len(code.words),
-               "min_distance": dist,
-               "covering_radius": covering_radius(code)}
+               "min_distance": dist, "covering_radius": radius}
         _emit(doc, args,
               f"n={code.n} size={len(code.words)} min_distance={dist} "
-              f"covering_radius={doc['covering_radius']}")
-        return 0
-    if args.codes_op == "bounds":
+              f"covering_radius={radius}")
+    elif args.codes_op == "bounds":
         _require(args, n=args.n)
+        if not 0 <= args.n <= BOUNDS_LIMIT:
+            raise ValueError(f"bounds are printed for 0 <= n <= "
+                             f"{BOUNDS_LIMIT}, got n={args.n}")
         row = table_known_bounds(args.n)
         doc = {"n": args.n,
                "varshamov_lower": varshamov_lower(args.n)
@@ -224,8 +209,7 @@ def cmd_codes(args) -> int:
         _emit(doc, args,
               f"varshamov_lower={doc['varshamov_lower']} "
               f"covering_upper={doc['covering_upper']} table={doc['table']}")
-        return 0
-    if args.codes_op == "exact":
+    elif args.codes_op == "exact":
         table = exact_small_values()
         doc = {"A2": {str(k): v for k, v in table["A2"].items()},
                "K2": {str(k): v for k, v in table["K2"].items()}}
@@ -234,119 +218,84 @@ def cmd_codes(args) -> int:
                                      for k, v in sorted(table["A2"].items()))
               + "\nK2(n,1): "
               + " ".join(f"{k}:{v}" for k, v in sorted(table["K2"].items())))
-        return 0
-    if args.codes_op == "to-slicings":
+    elif args.codes_op == "to-slicings":  # no JSON form: --json is ignored
         _require(args, code=args.code)
-        with open(args.code) as fh:
-            code = read_code(fh)
-        slicings = code_to_slicings(code)
-        with _output(args) as out:
-            write_slicings(slicings, out)
-        return 0
-    raise ValueError(f"unknown codes operation {args.codes_op!r}")
+        slicings = code_to_slicings(_read(args.code, read_code))
+        _write(partial(write_slicings, slicings), args)
 
 
-def _read_dist(path: str) -> Distribution:
-    with open(path) as fh:
-        return read_distribution(fh)
+def _emit_distribution(dist, args) -> None:
+    _emit({"n": dist.n, "p": q_list(dist.p)}, args,
+          write=partial(write_vertex_values, dist.p))
 
 
-def _emit_distribution(dist: Distribution, args) -> None:
-    if args.json:
-        print(json.dumps({"n": dist.n, "p": q_list(dist.p)},
-                         indent=2, sort_keys=True))
-    else:
-        with _output(args) as out:
-            write_distribution(dist, out)
-
-
-def cmd_rbm(args) -> int:
+def cmd_rbm(args) -> None:
     if args.rbm_op == "joint":
         _require(args, params=args.params)
         params = ExpParams.build(*_load_params(
             args.params, ("beta", 1), ("gamma", 1), ("omega", 2)))
         _emit_distribution(joint_distribution(params), args)
-        return 0
-    if args.rbm_op == "mixture":
+    elif args.rbm_op == "mixture":
         _require(args, params=args.params)
         params = MixtureParams.build(*_load_params(
             args.params, ("lambda", 0), ("delta", 1), ("epsilon", 1)))
         _emit_distribution(mixture_distribution(params), args)
-        return 0
-    if args.rbm_op == "hadamard":
-        dists = [_read_dist(p) for p in args.dist]
+    elif args.rbm_op == "hadamard":
+        dists = [_read(p, read_distribution) for p in args.dist]
         if len(dists) < 2:
             raise ValueError("hadamard needs at least two --dist files")
         acc = dists[0]
         for d in dists[1:]:
             acc = hadamard_product(acc, d)
         _emit_distribution(acc, args)
-        return 0
-    if args.rbm_op == "flatten-rank":
+    else:
         _require(args, dist=args.dist or None)
-        dist = _read_dist(args.dist[0])
-        r = max_flattening_rank(dist)
-        _emit({"n": dist.n, "max_flattening_rank": r}, args, str(r))
-        return 0
-    if args.rbm_op == "covariance":
-        _require(args, dist=args.dist or None)
-        dist = _read_dist(args.dist[0])
-        sigma = covariance_matrix(dist)
-        doc = {"n": dist.n,
-               "sigma": [q_list(row) for row in sigma.data]}
-        _emit(doc, args,
-              "\n".join(" ".join(q_list(row)) for row in sigma.data))
-        return 0
-    if args.rbm_op == "check":
-        _require(args, dist=args.dist or None)
-        dist = _read_dist(args.dist[0])
-        chk = check_membership_necessary(dist)
-        doc = {"flattening_rank_ok": chk.flattening_rank_ok,
-               "triple_sign_ok": chk.triple_sign_ok,
-               "covariance_binomial_ok": chk.covariance_binomial_ok,
-               "verdict": "pass" if chk.verdict else "fail",
-               "note": chk.note}
-        _emit(doc, args,
-              f"flattening_rank_ok={chk.flattening_rank_ok} "
-              f"triple_sign_ok={chk.triple_sign_ok} "
-              f"covariance_binomial_ok={chk.covariance_binomial_ok} "
-              f"verdict={doc['verdict']} ({chk.note})")
-        return 0
-    raise ValueError(f"unknown rbm operation {args.rbm_op!r}")
+        dist = _read(args.dist[0], read_distribution)
+        if args.rbm_op == "flatten-rank":
+            r = max_flattening_rank(dist)
+            _emit({"n": dist.n, "max_flattening_rank": r}, args, str(r))
+        elif args.rbm_op == "covariance":
+            sigma = covariance_matrix(dist)
+            _emit({"n": dist.n, "sigma": [q_list(row) for row in sigma.data]},
+                  args, "\n".join(" ".join(q_list(row)) for row in sigma.data))
+        elif args.rbm_op == "check":
+            chk = check_membership_necessary(dist)
+            doc = {"flattening_rank_ok": chk.flattening_rank_ok,
+                   "triple_sign_ok": chk.triple_sign_ok,
+                   "covariance_binomial_ok": chk.covariance_binomial_ok,
+                   "verdict": "pass" if chk.verdict else "fail",
+                   "note": chk.note}
+            _emit(doc, args,
+                  f"flattening_rank_ok={chk.flattening_rank_ok} "
+                  f"triple_sign_ok={chk.triple_sign_ok} "
+                  f"covariance_binomial_ok={chk.covariance_binomial_ok} "
+                  f"verdict={doc['verdict']} ({chk.note})")
 
 
-def cmd_tropvar(args) -> int:
+def cmd_tropvar(args) -> None:
     if args.tropvar_op == "minors":
         _require(args, split=args.split)
         split = [int(x) for x in args.split.split(",")]
         minors = poly_mod.flattening_minors(args.n, split)
-        if args.json:
-            print(json.dumps(
-                {"n": args.n, "split": split, "count": len(minors),
-                 "minors": [poly_mod.format_polynomial(m).split("\n")
-                            for m in minors]}, indent=2, sort_keys=True))
-        else:
-            with _output(args) as out:
-                for m in minors:
-                    poly_mod.write_polynomial(m, out)
-                    out.write("\n")
-        return 0
-    if args.tropvar_op == "initial-form":
+
+        def write(out):
+            for m in minors:
+                poly_mod.write_polynomial(m, out)
+                out.write("\n")
+        _emit(lambda: {"n": args.n, "split": split, "count": len(minors),
+                       "minors": [poly_mod.format_polynomial(m).split("\n")
+                                  for m in minors]},
+              args, write=write)
+    elif args.tropvar_op == "initial-form":
         _require(args, poly=args.poly, weights=args.weights)
-        with open(args.poly) as fh:
-            f = poly_mod.read_polynomial(fh, args.n)
-        with open(args.weights) as fh:
-            w = read_tropical_point(fh)
-        form = poly_mod.initial_form(f, w)
-        if args.json:
-            print(json.dumps(
-                {"n": args.n, "terms": len(form),
-                 "polynomial": poly_mod.format_polynomial(form).split("\n")},
-                indent=2, sort_keys=True))
-        else:
-            print(poly_mod.format_polynomial(form))
-        return 0
-    if args.tropvar_op == "witness-2222":
+        f = _read(args.poly,
+                  lambda fh: poly_mod.read_polynomial(fh, args.n))
+        form = poly_mod.initial_form(
+            f, _read(args.weights, read_tropical_point))
+        text = poly_mod.format_polynomial(form)
+        _emit({"n": args.n, "terms": len(form),
+               "polynomial": text.split("\n")}, args, text)
+    elif args.tropvar_op == "witness-2222":
         rep = poly_mod.quartic_witness_check()
         monomial = None
         if rep.monomial is not None:
@@ -355,7 +304,7 @@ def cmd_tropvar(args) -> int:
                "quartic_initial_terms": rep.quartic_initial_terms,
                "quartic_monomial": rep.quartic_initial_terms == 1,
                "monomial": monomial,
-               "max_weight": q_str(rep.max_weight)}
+               "max_weight": str(rep.max_weight)}
         _emit(doc, args,
               f"prevariety: {str(rep.prevariety).lower()}\n"
               f"quartic_initial_terms: {rep.quartic_initial_terms}\n"
@@ -363,52 +312,41 @@ def cmd_tropvar(args) -> int:
               f"{str(rep.quartic_initial_terms == 1).lower()}\n"
               f"monomial: {monomial}\n"
               f"weight: {rep.max_weight}")
-        return 0
-    raise ValueError(f"unknown tropvar operation {args.tropvar_op!r}")
 
 
-def cmd_fan(args) -> int:
+def cmd_fan(args) -> None:
     if args.fan_op == "triangulations":
         tris = fan_mod.enumerate_triangulations_3cube()
         if args.count:
             _emit({"count": len(tris)}, args, str(len(tris)))
-            return 0
-        if args.json:
-            print(json.dumps(
-                {"count": len(tris),
-                 "triangulations": [[list(cell) for cell in t.sorted_cells()]
-                                    for t in tris]},
-                indent=2, sort_keys=True))
-        else:
-            with _output(args) as out:
-                for t in tris:
-                    out.write("\n".join(fan_mod.triangulation_lines(t))
-                              + "\n\n")
-        return 0
-    if args.fan_op == "sphere-fvector":
+            return
+
+        def write(out):
+            for t in tris:
+                out.write("\n".join(fan_mod.triangulation_lines(t)) + "\n\n")
+        _emit({"count": len(tris),
+               "triangulations": [[list(cell) for cell in t.sorted_cells()]
+                                  for t in tris]},
+              args, write=write)
+    elif args.fan_op == "sphere-fvector":
         fv = fan_mod.secondary_sphere_fvector()
         _emit({"f_vector": list(fv)}, args, " ".join(map(str, fv)))
-        return 0
-    if args.fan_op == "tm13":
+    elif args.fan_op == "tm13":
         complex_data = fan_mod.tm13_subcomplex()
         if args.fvector:
             fv = complex_data.f_vector()
             _emit({"f_vector": list(fv)}, args, " ".join(map(str, fv)))
-            return 0
-        doc = fan_mod.complex_to_json(complex_data)
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return 0
-    if args.fan_op == "homology":
+        else:  # the complex has no plain form: JSON with or without --json
+            print(_json(fan_mod.complex_to_json(complex_data)))
+    elif args.fan_op == "homology":
         if args.complex:
             complex_data = fan_mod.complex_from_json(
-                _load_json(args.complex))
+                _read(args.complex, json.load))
         else:
             complex_data = fan_mod.tm13_subcomplex()
         ranks = fan_mod.reduced_homology_ranks(complex_data)
         _emit({"reduced_homology_ranks": list(ranks)}, args,
               " ".join(map(str, ranks)))
-        return 0
-    raise ValueError(f"unknown fan operation {args.fan_op!r}")
 
 
 def _thread_count(text: str) -> int:
@@ -539,7 +477,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"error: {ENV_THREADS}: {exc}", file=sys.stderr)
             return 2
     try:
-        return args.handler(args)
+        args.handler(args)
+        return 0
     except (ValueError, OSError, json.JSONDecodeError,
             AmbiguousArgmax) as exc:
         print(f"error: {exc}", file=sys.stderr)

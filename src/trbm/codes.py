@@ -20,6 +20,12 @@ from .cube import Slicing, all_vertices, vertex_coords, vertex_weight
 Q = Fraction
 
 HAMMING_LIMIT = 4  # ell = 5 would list 2^26 codewords
+# the covering radius visits all 2^n words: n = 20 takes 3.6 s on a
+# 2-vCPU Xeon, and each further bit doubles the time and the memory
+COVERING_LIMIT = 20
+# the bounds are 2^n-sized integers: at n = 10,000 they print 3,011
+# digits, under the 4,300 that Python prints by default
+BOUNDS_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -58,9 +64,12 @@ def covering_radius(code: BinaryCode) -> int:
     """Largest distance from any n-bit string to the nearest codeword.
 
     Multi-source breadth-first search over the hypercube graph, one edge
-    per bit flip.
+    per bit flip; lengths above ``COVERING_LIMIT`` are refused first.
     """
     n = code.n
+    if n > COVERING_LIMIT:
+        raise ValueError(f"covering radius needs n <= {COVERING_LIMIT}, "
+                         f"got n={n}")
     dist = [-1] * (1 << n)
     frontier = list(code.words)
     for w in frontier:

@@ -66,6 +66,19 @@ def subset_mask(subset: Iterable[int]) -> int:
     return mask
 
 
+def affine_values(const, weights: Sequence) -> list:
+    """The values ``const + sum(weights[j] * v_j)`` at every vertex v, in
+    index order; exact for ``int`` and ``Fraction``.
+
+    Each weight, the last coordinate's first, doubles the list, so
+    coordinate 1 ends as the most significant bit.
+    """
+    values = [const]
+    for w in reversed(weights):
+        values += [x + w for x in values]
+    return values
+
+
 @dataclass(frozen=True)
 class Slicing:
     """A separable vertex subset with an exact separating witness."""
@@ -79,13 +92,9 @@ class Slicing:
         if len(self.omega) != self.n:
             raise ValueError("witness length mismatch")
         # the margins times the witness's common denominator D > 0 keep
-        # their signs and are the integers C + sum(W_j for the set bits);
-        # each weight, the last coordinate's first, doubles the list, so
-        # coordinate 1 ends as the most significant bit
+        # their signs and are the integers C + sum(W_j for the set bits)
         [(const, *weights)] = _int_rows([(self.c, *self.omega)])
-        margins = [const]
-        for w in reversed(weights):
-            margins += [m + w for m in margins]
+        margins = affine_values(const, weights)
         positive = self.positive
         if 0 in margins or positive != {
                 v for v, value in enumerate(margins) if value > 0}:
@@ -96,11 +105,6 @@ class Slicing:
                 raise ValueError("positive set holds a non-vertex")
             raise ValueError(
                 f"witness does not separate vertex {bad:0{self.n}b}")
-
-    def margin(self, v: int) -> Fraction:
-        coords = vertex_coords(v, self.n)
-        return sum((self.omega[j] * coords[j] for j in range(self.n)),
-                   self.c)
 
     @property
     def mask(self) -> int:
@@ -120,8 +124,12 @@ def is_slicing(subset: Iterable[int], n: int) -> Optional[Slicing]:
 
     The empty and the full vertex set are slicings (constant threshold
     functions) with witnesses omega = 0 and c = -1 or +1.  A subset with
-    a parallelogram certificate (:func:`_parallelogram`) is refuted
-    without an LP.
+    a parallelogram certificate (:func:`_refuted`) is refuted without an
+    LP.  Otherwise the margin LP over the rows of all vertices in index
+    order decides it; ``solve_feasibility`` hands the LP these integer
+    rows and this box for the same system, so the witness is the one it
+    returns.  The witness is re-checked by substitution in every row.
+    The census splits regions by :func:`_split` instead.
     """
     positive = frozenset(subset)
     if not positive <= set(all_vertices(n)):
@@ -129,7 +137,12 @@ def is_slicing(subset: Iterable[int], n: int) -> Optional[Slicing]:
     if not positive or len(positive) == 1 << n:
         c = Q(1) if positive else Q(-1)
         return Slicing(n, positive, tuple(Q(0) for _ in range(n)), c)
-    witness = _separate((n, subset_mask(positive), (1 << (1 << n)) - 1))
+    pos = subset_mask(positive)
+    if _refuted(pos, ((1 << (1 << n)) - 1) ^ pos, n):
+        return None
+    rows = _signed_rows(n)
+    strict = [rows[v][pos >> v & 1] for v in all_vertices(n)]
+    witness = _rechecked(_margin_lp(strict, n + 1, _box(n + 1)), strict)
     if witness is None:
         return None
     return _witnessed(n, positive, *witness)
@@ -149,30 +162,6 @@ def _signed_rows(n: int) -> tuple[tuple[tuple, tuple], ...]:
     on the positive."""
     planes = [vertex_coords(v, n) + (1,) for v in all_vertices(n)]
     return tuple(((tuple(-x for x in p), 1), (p, 1)) for p in planes)
-
-
-def _separate(args: tuple[int, int, int]
-              ) -> Optional[tuple[list[int], int]]:
-    """A witness (omega, c) whose margin is positive on the vertices of
-    ``pos`` and negative on the other vertices of ``side``, as integer
-    numerators y over a denominator den > 0, or None.
-
-    ``args`` is (n, pos, side) with ``pos`` a submask of ``side``.  The
-    split is refuted by a parallelogram certificate (:func:`_refuted`)
-    when there is one, else decided by the margin LP over the rows of
-    the vertices of ``side`` in index order.  ``solve_feasibility``
-    hands the LP these integer rows and this box for the same system, so
-    the witness is the one it returns.  The witness is re-checked by
-    substitution in every row before it is returned.  This is the step
-    of :func:`is_slicing`; the census splits regions by :func:`_split`.
-    """
-    n, pos, side = args
-    if _refuted(pos, side ^ pos, n):
-        return None
-    rows = _signed_rows(n)
-    strict = [rows[v][pos >> v & 1] for v in range(side.bit_length())
-              if side >> v & 1]
-    return _rechecked(_margin_lp(strict, n + 1, _box(n + 1)), strict)
 
 
 def _rechecked(witness, strict):
@@ -381,8 +370,9 @@ def _split(n: int, k: int, pos: int, lp: _Tableau):
 
     A parallelogram through k refutes the split without an LP.
     Otherwise ``lp`` takes the rows j..k-1 in place and a copy takes row
-    k, so the LP solved is the one :func:`_separate` would solve, with
-    the same witness; the witness is re-checked on every row.
+    k, so the LP solved is the one :func:`is_slicing` would solve for
+    the vertices 0..k, with the same witness; the witness is re-checked
+    on every row.
     """
     if _refuted_through(pos, k, n):
         return None
@@ -476,6 +466,13 @@ def write_slicings(slicings: Iterable[Slicing], stream: TextIO) -> None:
     for s in slicings:
         ws = ",".join([str(s.c)] + [str(x) for x in s.omega])
         stream.write(f"n:{s.n} pos:{s.mask:x} w:{ws}\n")
+
+
+def write_vertex_values(values: Iterable[Fraction], stream: TextIO) -> None:
+    """One rational per line, in vertex order: the file
+    :func:`read_vertex_values` reads."""
+    for x in values:
+        stream.write(f"{x}\n")
 
 
 def read_vertex_values(stream: TextIO) -> tuple[int, tuple[Fraction, ...]]:

@@ -26,11 +26,11 @@ from itertools import combinations
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
-from .cube import all_vertices, cube_symmetries, vertex_coords
+from .cube import all_vertices, vertex_coords
 from .linalg import (Matrix, _eliminate, _int_rows, integer_kernel,
                      qtuple, rank)
 from .lp import LinearSystem, solve_feasibility
-from .tropical import TropicalPoint, tropical_membership, tropical_morphism
+from .tropical import TropicalPoint, tropical_membership
 
 Q = Fraction
 
@@ -330,11 +330,6 @@ def _face_point(folds, active) -> Optional[tuple[Fraction, ...]]:
         LinearSystem.build(len(CUBE), strict=strict, eq=eq))
 
 
-def lineality_dimension() -> int:
-    t = enumerate_triangulations_3cube()[0]
-    return len(CUBE) - rank(Matrix(fold_inequalities(t)))
-
-
 def secondary_sphere_fvector() -> tuple[int, int, int, int]:
     """Cells of the secondary sphere by dimension 0..3."""
     counts = [0, 0, 0, 0]
@@ -450,38 +445,6 @@ def tm13_subcomplex() -> SimplicialComplexData:
     return SimplicialComplexData(
         tuple(labels),
         tuple(tuple(sorted(fs)) for fs in faces_by_dim))
-
-
-def model_roundtrip_points() -> list[tuple[TropicalPoint, TropicalPoint]]:
-    """Pairs (face point, image of the recovered parameters) for checking."""
-    kept, results = model_fan()
-    pairs = []
-    for face in kept:
-        res = results[face.subdivision]
-        image = tropical_morphism(res.params())
-        shifted = TropicalPoint.build(
-            N, [x + res.shift for x in image.values])
-        pairs.append((TropicalPoint(N, face.point), shifted))
-    return pairs
-
-
-def facet_orbit_is_single(complex_faces: Sequence[frozenset[frozenset[int]]]
-                          ) -> bool:
-    """All given triangulations related by cube symmetries."""
-    if not complex_faces:
-        return True
-    symmetries = cube_symmetries(N)
-    base = complex_faces[0]
-    orbit = set()
-    for sym in symmetries:
-        orbit.add(frozenset(frozenset(sym[v] for v in cell)
-                            for cell in base))
-    return all(t in orbit for t in complex_faces)
-
-
-def model_facet_subdivisions() -> list[frozenset[frozenset[int]]]:
-    kept, _ = model_fan()
-    return [f.subdivision for f in kept if f.quotient_dim == 4]
 
 
 def reduced_homology_ranks(c: SimplicialComplexData) -> tuple[int, ...]:

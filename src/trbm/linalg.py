@@ -67,12 +67,6 @@ class Matrix:
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
 
-    def row(self, i: int) -> list:
-        return list(self.data[i])
-
-    def column(self, j: int) -> list:
-        return [self.data[i][j] for i in range(self.rows)]
-
     def transpose(self) -> "Matrix":
         return Matrix([[self.data[i][j] for i in range(self.rows)]
                        for j in range(self.cols)])

@@ -349,10 +349,5 @@ def random_mixture_params(n: int, rng: Random,
         [random_unit_fraction(rng, bound) for _ in range(n)])
 
 
-def write_distribution(p: Distribution, stream: TextIO) -> None:
-    for x in p.p:
-        stream.write(f"{x}\n")
-
-
 def read_distribution(stream: TextIO) -> Distribution:
     return Distribution(*read_vertex_values(stream))

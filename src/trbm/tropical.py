@@ -20,7 +20,7 @@ from typing import Optional, Sequence, TextIO
 
 from .codes import (HAMMING_LIMIT, ball_centers, ball_slicing,
                     hamming_code, shortened_hamming_code)
-from .cube import (Slicing, all_vertices, enumerate_slicings,
+from .cube import (Slicing, affine_values, all_vertices, enumerate_slicings,
                    read_vertex_values, vertex_coords)
 from .linalg import Matrix, _int_rows, integer_kernel, qtuple, rank_01
 from .lp import LinearSystem, solve_feasibility
@@ -93,18 +93,10 @@ def tropical_morphism(params: TropParams) -> TropicalPoint:
     :func:`inference_function`, so the max over h is
     ``b.v + sum_i max(0, W_i.v + c_i)``.
     """
-    n = params.n
-    values = []
-    for v in all_vertices(n):
-        coords = vertex_coords(v, n)
-        base = sum((params.visible_bias[j] * coords[j] for j in range(n)),
-                   Q(0))
-        best = sum((max(Q(0), sum((row[j] * coords[j] for j in range(n)),
-                                  c))
-                    for row, c in zip(params.weights, params.hidden_bias)),
-                   Q(0))
-        values.append(base + best)
-    return TropicalPoint(n, tuple(values))
+    values = affine_values(Q(0), params.visible_bias)
+    for row, c in zip(params.weights, params.hidden_bias):
+        values = [x + max(a, 0) for x, a in zip(values, affine_values(c, row))]
+    return TropicalPoint(params.n, tuple(values))
 
 
 class AmbiguousArgmax(ValueError):
@@ -129,13 +121,13 @@ def inference_function(params: TropParams) -> dict[int, int]:
     n, k = params.n, params.k
     out: dict[int, int] = {}
     ties: list[tuple[int, list[int]]] = []
+    acts = [affine_values(c, row)
+            for row, c in zip(params.weights, params.hidden_bias)]
     for v in all_vertices(n):
-        coords = vertex_coords(v, n)
         h = 0
         tied_units = []
         for i in range(k):
-            act = sum((params.weights[i][j] * coords[j] for j in range(n)),
-                      params.hidden_bias[i])
+            act = acts[i][v]
             if act == 0:
                 tied_units.append(i)
             elif act > 0:
@@ -315,16 +307,15 @@ def _code_slicings(n: int, k: int) -> tuple[Slicing, ...]:
 
 
 def _random_slicing(n: int, rng: Random) -> Slicing:
+    """The slicing of the first integer witness drawn that puts no vertex
+    on its hyperplane."""
     while True:
-        omega = tuple(Q(rng.randint(-2 * n, 2 * n)) for _ in range(n))
-        c = Q(rng.randint(-2 * n, 2 * n))
-        margins = [sum((omega[j] * x for j, x in
-                        enumerate(vertex_coords(v, n))), c)
-                   for v in all_vertices(n)]
-        if any(m == 0 for m in margins):
-            continue
-        pos = frozenset(v for v in all_vertices(n) if margins[v] > 0)
-        return Slicing(n, pos, omega, c)
+        omega = [rng.randint(-2 * n, 2 * n) for _ in range(n)]
+        c = rng.randint(-2 * n, 2 * n)
+        margins = affine_values(c, omega)
+        if 0 not in margins:
+            pos = frozenset(v for v, m in enumerate(margins) if m > 0)
+            return Slicing(n, pos, qtuple(omega), Q(c))
 
 
 def _search_greedy(n, k, seed, restarts):
@@ -446,11 +437,6 @@ def count_inference_functions(n: int, k: int) -> int:
     if n > 4:
         raise ValueError("needs the slicing census; supported for n <= 4")
     return len(enumerate_slicings(n)) ** k
-
-
-def write_tropical_point(q: TropicalPoint, stream: TextIO) -> None:
-    for x in q.values:
-        stream.write(f"{x}\n")
 
 
 def read_tropical_point(stream: TextIO) -> TropicalPoint:

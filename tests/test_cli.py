@@ -479,3 +479,27 @@ def test_minors_n_above_the_limit_exits_2(n, capsys):
                          "--split", "1,2")
     assert (code, out) == (2, "")
     assert err == f"error: minors are listed for n <= 7, got n={n}\n"
+
+
+@pytest.mark.parametrize("n", [21, 40])
+def test_codes_analyze_length_above_the_cap_exits_2(n, tmp_path, capsys):
+    code_file = tmp_path / "c.txt"
+    code_file.write_text(f"n={n}\n{'0' * n}\n{'1' * n}\n")
+    code, out, err = run(capsys, "codes", "analyze", "--code", str(code_file))
+    assert (code, out) == (2, "")
+    assert err == f"error: covering radius needs n <= 20, got n={n}\n"
+
+
+@pytest.mark.parametrize("n", ["-3", "-1", "10001", "100000"])
+def test_codes_bounds_n_outside_its_range_exits_2(n, capsys):
+    code, out, err = run(capsys, "codes", "bounds", "--n", n)
+    assert (code, out) == (2, "")
+    assert err == ("error: bounds are printed for 0 <= n <= 10000, "
+                   f"got n={n}\n")
+
+
+def test_codes_bounds_at_the_ends_of_its_range(capsys):
+    doc = run_json(capsys, "codes_bounds", "codes", "bounds", "--n", "0")
+    assert doc["covering_upper"] == 1 and doc["varshamov_lower"] is None
+    doc = run_json(capsys, "codes_bounds", "codes", "bounds", "--n", "10000")
+    assert doc["covering_upper"] == 2 ** (10000 - 13)

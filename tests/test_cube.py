@@ -3,15 +3,18 @@ from fractions import Fraction as Q
 from random import Random
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from trbm import cube
 from trbm.codes import ball_slicing
 from trbm.cube import (Slicing, _enumerate_arrangement, _enumerate_brute,
-                       _parallelogram, all_vertices, count_zonotope_facets,
+                       _parallelogram, affine_values, all_vertices,
+                       count_zonotope_facets,
                        cube_symmetries, enumerate_slicings, is_slicing,
                        read_slicings, subset_mask, vertex_coords,
                        vertex_index, write_slicings)
 from trbm.lp import LinearSystem, _Tableau, solve_feasibility
+from trbm.tropical import TropParams, tropical_morphism
 
 
 def test_vertex_indexing_is_lexicographic():
@@ -81,9 +84,9 @@ def test_symmetry_closure_n3():
 def test_witnesses_separate_exactly():
     for n in (1, 2, 3):
         for s in enumerate_slicings(n):
-            for v in all_vertices(n):
-                assert (s.margin(v) > 0) == (v in s.positive)
-                assert s.margin(v) != 0
+            for v, m in enumerate(affine_values(s.c, s.omega)):
+                assert (m > 0) == (v in s.positive)
+                assert m != 0
 
 
 def test_canonical_order():
@@ -239,7 +242,45 @@ def test_slicing_rejects_zero_and_negative_near_misses():
     with pytest.raises(ValueError):  # vertex 01 has margin +1/d, not < 0
         Slicing(2, frozenset({3}), (Q(1, 3), Q(2, 3)), Q(-2, 3) + Q(1, d))
     s = Slicing(2, frozenset({3}), (Q(1), Q(1)), Q(-2) + Q(1, d))
-    assert s.margin(3) == Q(1, d) and s.margin(2) == Q(-1) + Q(1, d)
+    margins = affine_values(s.c, s.omega)
+    assert margins[3] == Q(1, d) and margins[2] == Q(-1) + Q(1, d)
+
+
+@st.composite
+def affine_functions(draw):
+    """(n, const, weights) with n in 0..6 and all numbers int or all
+    Fraction."""
+    n = draw(st.integers(0, 6))
+    number = draw(st.sampled_from([
+        st.integers(-50, 50),
+        st.fractions(-50, 50, max_denominator=12)]))
+    return n, draw(number), draw(st.lists(number, min_size=n, max_size=n))
+
+
+def direct_values(const, weights, n):
+    return [sum((w * x for w, x in zip(weights, vertex_coords(v, n))), const)
+            for v in all_vertices(n)]
+
+
+@seed(20261)
+@settings(max_examples=300, database=None, deadline=None)
+@given(affine_functions())
+def test_affine_values_match_the_direct_sum(function):
+    n, const, weights = function
+    values = affine_values(const, weights)
+    assert values == direct_values(const, weights, n)
+    assert {type(x) for x in values} == {type(const)}
+
+
+@seed(20262)
+@settings(max_examples=100, database=None, deadline=None)
+@given(affine_functions())
+def test_morphism_without_hidden_units_is_the_visible_bias(function):
+    n, _, weights = function
+    params = TropParams.build([], weights, [])
+    assert (params.n, params.k) == (n, 0)
+    point = tropical_morphism(params)
+    assert list(point.values) == direct_values(Q(0), weights, n)
 
 
 def test_slicing_check_agrees_with_fraction_margins():
@@ -272,7 +313,8 @@ def test_slicing_check_on_a_ball_of_the_15_cube():
     n, w = 15, 0b101100111000101
     ball = ball_slicing(w, n)
     assert ball.positive == {w} | {w ^ 1 << j for j in range(n)}
-    assert ball.margin(w) == Q(3, 2) and ball.margin(w ^ 0b11) == Q(-1, 2)
+    margins = affine_values(ball.c, ball.omega)
+    assert margins[w] == Q(3, 2) and margins[w ^ 0b11] == Q(-1, 2)
     with pytest.raises(ValueError, match=f"vertex {w ^ 0b11:015b}"):
         Slicing(n, ball.positive | {w ^ 0b11}, ball.omega, ball.c)
     with pytest.raises(ValueError, match=f"vertex {w ^ 1:015b}"):

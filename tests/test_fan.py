@@ -6,18 +6,17 @@ from random import Random
 import pytest
 
 from trbm import fan
-from trbm.cube import all_vertices, vertex_coords
-from trbm.fan import (SimplicialComplexData,
-                      enumerate_triangulations_3cube, facet_orbit_is_single,
-                      fold_inequalities, lineality_dimension,
-                      model_facet_subdivisions, model_roundtrip_points,
-                      reduced_homology_ranks, regular_subdivision_from_lift,
+from trbm.cube import all_vertices, cube_symmetries, vertex_coords
+from trbm.fan import (CUBE, N, SimplicialComplexData,
+                      enumerate_triangulations_3cube, fold_inequalities,
+                      model_fan, reduced_homology_ranks,
+                      regular_subdivision_from_lift,
                       regularity_witness, secondary_fan_faces,
                       secondary_sphere_fvector, tet_volume_units,
                       tm13_subcomplex, complex_to_json, triangulation_lines)
 from trbm.linalg import Matrix, qtuple, rank, solve
 from trbm.lp import LinearSystem, solve_feasibility
-from trbm.tropical import TropParams, tropical_morphism
+from trbm.tropical import TropicalPoint, TropParams, tropical_morphism
 
 
 def rank_solve_subdivision(w, n=3):
@@ -123,6 +122,11 @@ def test_wall_counts():
         assert len(folds) == {5: 4, 6: 6}[len(t.cells)]
 
 
+def lineality_dimension() -> int:
+    t = enumerate_triangulations_3cube()[0]
+    return len(CUBE) - rank(Matrix(fold_inequalities(t)))
+
+
 def test_lineality_dimension():
     assert lineality_dimension() == 4
 
@@ -151,6 +155,37 @@ def test_model_edge_census():
         key = "".join(sorted(c.vertex_labels[i][0] for i in e))
         kinds[key] += 1
     assert kinds == {"VV": 4, "DV": 24, "DD": 12}
+
+
+def model_roundtrip_points() -> list[tuple[TropicalPoint, TropicalPoint]]:
+    """Pairs (face point, image of the recovered parameters) for checking."""
+    kept, results = model_fan()
+    pairs = []
+    for face in kept:
+        res = results[face.subdivision]
+        image = tropical_morphism(res.params())
+        shifted = TropicalPoint.build(
+            N, [x + res.shift for x in image.values])
+        pairs.append((TropicalPoint(N, face.point), shifted))
+    return pairs
+
+
+def facet_orbit_is_single(complex_faces) -> bool:
+    """All given triangulations related by cube symmetries."""
+    if not complex_faces:
+        return True
+    symmetries = cube_symmetries(N)
+    base = complex_faces[0]
+    orbit = set()
+    for sym in symmetries:
+        orbit.add(frozenset(frozenset(sym[v] for v in cell)
+                            for cell in base))
+    return all(t in orbit for t in complex_faces)
+
+
+def model_facet_subdivisions() -> list[frozenset[frozenset[int]]]:
+    kept, _ = model_fan()
+    return [f.subdivision for f in kept if f.quotient_dim == 4]
 
 
 def test_model_facets_single_orbit():

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from trbm.cube import all_vertices, vertex_coords
+from trbm.cube import all_vertices, vertex_coords, write_vertex_values
 from trbm.linalg import rank
 from trbm.rbmstats import (Distribution, ExpParams, MixtureParams,
                            check_membership_necessary, covariance_matrix,
@@ -13,8 +13,7 @@ from trbm.rbmstats import (Distribution, ExpParams, MixtureParams,
                            marginal_one, max_flattening_rank,
                            mixture_distribution, random_exp_params,
                            random_mixture_params, read_distribution,
-                           reparameterize, splits, stack,
-                           write_distribution)
+                           reparameterize, splits, stack)
 
 
 def test_all_ones_parameters_give_uniform():
@@ -226,6 +225,6 @@ def test_normalization_exact():
 def test_distribution_file_roundtrip():
     d = Distribution.normalize([1, 2, 3, 4])
     buf = io.StringIO()
-    write_distribution(d, buf)
+    write_vertex_values(d.p, buf)
     buf.seek(0)
     assert read_distribution(buf) == d
