@@ -47,8 +47,9 @@ def _json(doc) -> str:
 
 
 def _emit(doc, args, plain: Optional[str] = None, write=None) -> None:
-    """``doc`` as JSON on stdout under ``--json``, else ``plain`` on
-    stdout or, when it is None, the output of :func:`_write`.
+    """``doc`` as JSON on stdout under ``--json``; otherwise the output
+    of ``write`` (:func:`_write`) when it is given, else ``plain`` on
+    stdout.
 
     ``doc`` may be a function that builds the document, for listings
     that are turned into JSON only when it is asked for.
