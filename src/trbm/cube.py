@@ -27,7 +27,7 @@ from operator import mul
 from typing import Iterable, Optional, Sequence, TextIO
 
 from .linalg import Matrix, _int_rows, integer_kernel
-from .lp import _box, _margin_lp, _Tableau
+from .lp import Farkas, LinearSystem, _box, _margin_lp, _Tableau
 # slicing queries call the margin LP directly; solve_feasibility stays
 # bound here, where the span tracer of perfbench/ looks it up
 from .lp import solve_feasibility  # noqa: F401
@@ -164,11 +164,18 @@ def _signed_rows(n: int) -> tuple[tuple[tuple, tuple], ...]:
     return tuple(((tuple(-x for x in p), 1), (p, 1)) for p in planes)
 
 
-def _rechecked(witness, strict):
-    """``witness`` (or None), once its y is checked by integer
-    substitution to be positive on every row (a, s) of ``strict``."""
-    if witness is not None and not all(
-            sum(map(mul, a, witness[0])) > 0 for a, _ in strict):
+def _rechecked(result, strict):
+    """The witness of the margin LP's ``result`` (witness, pi), once its
+    y is checked by integer substitution to be positive on every row
+    (a, s) of ``strict``; or None, once the Farkas multipliers pi are
+    checked to refute the rows a.y > 0 (:meth:`lp.Farkas.refutes`)."""
+    witness, pi = result
+    if witness is None:
+        rows = tuple((*a, 0) for a, _ in strict)
+        if not Farkas(tuple(pi), (), ()).refutes(
+                LinearSystem(len(rows[0]) - 1, rows)):
+            raise AssertionError("Farkas certificate failed re-validation")
+    elif not all(sum(map(mul, a, witness[0])) > 0 for a, _ in strict):
         raise AssertionError("separation witness failed re-validation")
     return witness
 
@@ -489,18 +496,3 @@ def read_vertex_values(stream: TextIO) -> tuple[int, tuple[Fraction, ...]]:
     if len(values) != 1 << n:
         raise ValueError("expected 2^n values")
     return n, tuple(values)
-
-
-def read_slicings(stream: TextIO) -> list[Slicing]:
-    out = []
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        fields = dict(part.split(":", 1) for part in line.split())
-        n = int(fields["n"])
-        mask = int(fields["pos"], 16)
-        nums = [Q(x) for x in fields["w"].split(",")]
-        pos = frozenset(v for v in all_vertices(n) if mask >> v & 1)
-        out.append(Slicing(n, pos, tuple(nums[1:]), nums[0]))
-    return out

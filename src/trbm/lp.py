@@ -33,20 +33,35 @@ has the largest label, so Bland's ratio test passed it over at every
 pivot made so far; rows added one at a time give the pivots, ``den`` and
 witness of the same rows built at once (:class:`_Tableau`).
 
+Infeasibility comes with a Farkas certificate.  At the optimum t = 0
+the final objective row holds the dual multipliers: minus its entry in
+the column of a nonbasic constraint slack, and 0 for a basic one.  They
+are >= 0 and combine the constraint rows to zero with a positive
+coefficient of t; the box rows get 0, since the dual optimum is box
+times their multipliers.  :func:`solve_feasibility` maps them back to
+the system's rows: a row's multiplier times its integer scale, and on
+the equalities the free multipliers y of one exact solve, since the
+combination of the other rows vanishes on the kernel and so lies in the
+row space of the equalities.  Its early exits get certificates the same
+way (:class:`Farkas`).
+
 Returned witnesses are re-checked by direct substitution before being
-handed back.  The slicing queries of :mod:`trbm.cube` hand their integer
-rows to :func:`_margin_lp` or :class:`_Tableau` directly, with the same
-box (:func:`_box`), and re-check the witness themselves.
+handed back, and certificates the same way
+(:meth:`Farkas.refutes`).  The slicing queries of
+:mod:`trbm.cube` hand their integer rows to :func:`_margin_lp` or
+:class:`_Tableau` directly, with the same box (:func:`_box`), and
+re-check the witness or the multipliers themselves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence, Union
 
-from .linalg import Matrix, _int_rows, _number, integer_kernel
+from .linalg import Matrix, _eliminate, _int_rows, _number, integer_kernel
 
 Q = Fraction
 Scalar = Union[int, Fraction]
@@ -94,12 +109,58 @@ class LinearSystem:
                 and all(_dot(r, xs) == 0 for r in self.eq))
 
 
+@dataclass(frozen=True)
+class Farkas:
+    """Multipliers refuting a :class:`LinearSystem`, one per row:
+    ``strict`` and ``weak`` >= 0, ``eq`` free (:meth:`refutes`)."""
+
+    strict: tuple[Scalar, ...]
+    weak: tuple[Scalar, ...]
+    eq: tuple[Scalar, ...]
+
+    def refutes(self, sys: LinearSystem) -> bool:
+        """Check the certificate by substitution in the rows of ``sys``.
+
+        The combination r = lam.S + mu.W + y.E of the rows, with lam >= 0
+        and mu >= 0, must vanish on every unknown and have a constant
+        r_0 <= 0, with lam != 0 or r_0 < 0.  At a solution x the
+        combination's value is r_0, yet every strict row is > 0 there,
+        the weak rows >= 0 and the equalities 0: so no x exists.  The
+        rows are taken times the common denominator D > 0 of their
+        entries, which leaves every sign as it is, so r D is summed in
+        integers.
+        """
+        terms = []
+        for mults, rows, signed in ((self.strict, sys.strict, True),
+                                    (self.weak, sys.weak, True),
+                                    (self.eq, sys.eq, False)):
+            if len(mults) != len(rows) or signed and any(k < 0
+                                                         for k in mults):
+                return False
+            terms += [(k, row) for k, row in zip(mults, rows) if k]
+        scale = math.lcm(*(x.denominator for _, row in terms for x in row))
+        combo = [0] * (sys.num_vars + 1)
+        for k, row in terms:
+            combo = [c + k * (x.numerator * (scale // x.denominator))
+                     for c, x in zip(combo, row)]
+        *unknowns, r0 = combo
+        return not any(unknowns) and (r0 < 0
+                                      or r0 == 0 and any(self.strict))
+
+
 def _dot(a: Sequence[Scalar], b: Sequence[int]) -> Scalar:
     return sum(map(mul, a, b))
 
 
-def solve_feasibility(sys: LinearSystem) -> Optional[tuple[Fraction, ...]]:
-    """Exact witness satisfying every row (strict rows strictly), or None."""
+def solve_feasibility(sys: LinearSystem,
+                      certificates: Optional[list] = None
+                      ) -> Optional[tuple[Fraction, ...]]:
+    """Exact witness satisfying every row (strict rows strictly), or None.
+
+    A None is proved by a :class:`Farkas` certificate, checked by
+    substitution as a witness is; it is appended to ``certificates``
+    when that is a list.
+    """
     m = sys.num_vars
     homogeneous = all(r[m] == 0 for r in sys.strict + sys.weak + sys.eq)
 
@@ -116,30 +177,37 @@ def solve_feasibility(sys: LinearSystem) -> Optional[tuple[Fraction, ...]]:
         strict = sys.strict + (tuple(int(i == m) for i in range(dim)),)
         weak, eqs = sys.weak, sys.eq
 
+    # a strict row a.z > 0 enters the margin program as a.z - t >= 0 and a
+    # weak row as a.z >= 0; scaling (a, -1) to integers gives each strict
+    # row its own lcm scale as its coefficient of t
+    scaled = _int_rows([a + (-1,) for a in strict] + [a + (0,) for a in weak])
+
+    def refuted(pi: dict[int, int]) -> None:
+        cert = _farkas(sys, strict, weak, eqs, scaled, pi)
+        if certificates is not None:
+            certificates.append(cert)
+
     if eqs:
         # z = B y / d with the columns of B spanning the equalities' kernel
         basis, d = integer_kernel(Matrix(eqs))
         if not basis:
-            return None  # z = 0 is the only solution
+            return refuted({0: 1})  # z = 0 is the only solution
     else:
         basis, d = None, 1
 
-    # a strict row a.z > 0 enters the margin program as a.z - t >= 0 and a
-    # weak row as a.z >= 0; scaling (a, -1) to integers gives each strict
-    # row its own lcm scale as its coefficient of t
-    rows = []
-    for row in _int_rows([a + (-1,) for a in strict]
-                         + [a + (0,) for a in weak]):
+    rows, source = [], []
+    for i, row in enumerate(scaled):
         ra = _project(row[:-1], basis)
         if any(ra):
             rows.append((ra, -row[-1]))
+            source.append(i)
         elif row[-1]:
-            return None  # a strict row vanishes on every solution
+            return refuted({i: 1})  # a strict row vanishes on every solution
     ncols = dim if basis is None else len(basis)
-    solution = _margin_lp(rows, ncols, _box(m))
-    if solution is None:
-        return None
-    y, den = solution
+    witness, pi = _margin_lp(rows, ncols, _box(m))
+    if witness is None:
+        return refuted({source[i]: k for i, k in enumerate(pi) if k})
+    y, den = witness
 
     z = y if basis is None else [sum(col[i] * yj for col, yj in zip(basis, y))
                                  for i in range(dim)]
@@ -151,6 +219,42 @@ def solve_feasibility(sys: LinearSystem) -> Optional[tuple[Fraction, ...]]:
     if not sys.evaluate(x):
         raise AssertionError("feasibility witness failed re-validation")
     return x
+
+
+def _farkas(sys, strict, weak, eqs, scaled, pi) -> Farkas:
+    """The checked certificate of ``sys`` from multipliers ``pi`` (row
+    index: k >= 0) of the integer rows ``scaled`` of ``strict`` and
+    ``weak``, whose combination vanishes on the kernel of ``eqs``.
+
+    Row i of ``scaled`` is its row times s_i > 0, so it gets k s_i.  The
+    equalities get y with y.E = -(that combination), from one
+    fraction-free elimination: y is its right-hand side over the last
+    pivot d at the pivot columns and 0 elsewhere, and every multiplier is
+    taken times |d|.  The x0 row of a system with constants is dropped:
+    its multiplier is minus the certificate's constant.
+    """
+    combo = [0] * (len(scaled[0]) - 1)
+    for i, k in pi.items():
+        combo = [c + k * a for c, a in zip(combo, scaled[i])]
+    y, d = [0] * len(eqs), 1
+    if eqs:
+        a = _int_rows([*col, -c] for col, c in zip(zip(*eqs), combo))
+        pivots, d = _eliminate(a, len(eqs) + 1, jordan=True)
+        if len(eqs) in pivots:
+            raise AssertionError("Farkas multipliers do not vanish on the "
+                                 "kernel of the equalities")
+        sign, d = (1, d) if d > 0 else (-1, -d)
+        for r, col in enumerate(pivots):
+            y[col] = sign * a[r][-1]
+    mults = [0] * len(scaled)
+    for i, k in pi.items():
+        row = strict[i] if i < len(strict) else weak[i - len(strict)]
+        mults[i] = k * d * math.lcm(*(x.denominator for x in row))
+    cert = Farkas(tuple(mults[:len(sys.strict)]), tuple(mults[len(strict):]),
+                  tuple(y))
+    if not cert.refutes(sys):
+        raise AssertionError("Farkas certificate failed re-validation")
+    return cert
 
 
 def _project(row: list[int], basis: Optional[list[list[int]]]) -> list[int]:
@@ -170,10 +274,11 @@ def _margin_lp(rows, nvars, box: int):
     """Maximize t subject to a.y >= s t for every integer row ``(a, s)``
     (s > 0 for strict rows, s = 0 for weak ones) and |y| <= box.
 
-    Returns the numerators of y over their common positive denominator,
-    or None when the exact optimum is t = 0 (the zero point is always
-    feasible, so the optimum is never negative).  All rows are built at
-    once (:class:`_Tableau`), then the LP is solved.
+    Returns (witness, None) with the witness the numerators of y over
+    their common positive denominator, or (None, pi) with the Farkas
+    multipliers of the rows when the exact optimum is t = 0 (the zero
+    point is always feasible, so the optimum is never negative).  All
+    rows are built at once (:class:`_Tableau`), then the LP is solved.
     """
     return _Tableau(nvars, rows).solve(box)
 
@@ -274,10 +379,16 @@ class _Tableau:
             basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
 
     def solve(self, box: int):
-        """The witness (y, den) of the LP with its box rows, or None.
+        """The LP with its box rows: ((y, den), None), or (None, pi) at
+        the optimum t = 0.
 
         :func:`_box_rows` builds the box rows from the basis, and the
-        general ratio test (:func:`_ratio_test`) takes over.
+        general ratio test (:func:`_ratio_test`) takes over.  At t = 0
+        constraint row i gets minus the objective entry of its slack if
+        that is nonbasic, else 0: pi >= 0, sum pi_i a_i = 0 and
+        sum pi_i s_i > 0, so no y has a.y > 0 on the rows with s > 0 and
+        a.y >= 0 on the others.  Every box slack must have objective
+        entry 0.
         """
         tab, basis, nonbasic = list(self.tab), list(self.basis), \
             list(self.nonbasic)
@@ -293,13 +404,23 @@ class _Tableau:
             basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
             enter = _entering(tab[-1], nonbasic)
 
-        if tab[-1][-1] >= 0:
-            return None  # the optimum -obj[-1] / den is t = 0
-        values = [0] * (2 * nvars + 1)
+        first, obj = 2 * nvars + 1, tab[-1]
+        if obj[-1] >= 0:  # the optimum -obj[-1] / den is t = 0
+            pi = [0] * self.ncon
+            for j, label in enumerate(nonbasic):
+                if label >= first + self.ncon:
+                    if obj[j]:
+                        raise AssertionError("a box row carries a Farkas "
+                                             "multiplier")
+                elif label >= first:
+                    pi[label - first] = -obj[j]
+            return None, pi
+        values = [0] * first
         for i, label in enumerate(basis):
-            if label < 2 * nvars + 1:
+            if label < first:
                 values[label] = tab[i][-1]
-        return [values[j] - values[nvars + j] for j in range(nvars)], den
+        return ([values[j] - values[nvars + j] for j in range(nvars)],
+                den), None
 
 
 def _entering(obj, nonbasic) -> Optional[int]:

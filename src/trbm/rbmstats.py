@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from random import Random
 from typing import Iterable, Sequence, TextIO
 
 from .linalg import Matrix, qtuple, rank
@@ -321,32 +320,6 @@ def check_membership_necessary(p: Distribution) -> NecessaryCheck:
             binom_ok = False
             break
     return NecessaryCheck(rank_ok, triple_ok, binom_ok)
-
-
-def random_unit_fraction(rng: Random, bound: int = 20) -> Fraction:
-    den = rng.randint(2, bound)
-    return Q(rng.randint(1, den - 1), den)
-
-
-def random_positive_fraction(rng: Random, bound: int = 20) -> Fraction:
-    return Q(rng.randint(1, bound), rng.randint(1, bound))
-
-
-def random_exp_params(n: int, k: int, rng: Random,
-                      bound: int = 20) -> ExpParams:
-    return ExpParams.build(
-        [random_positive_fraction(rng, bound) for _ in range(n)],
-        [random_positive_fraction(rng, bound) for _ in range(k)],
-        [[random_positive_fraction(rng, bound) for _ in range(n)]
-         for _ in range(k)])
-
-
-def random_mixture_params(n: int, rng: Random,
-                          bound: int = 20) -> MixtureParams:
-    return MixtureParams.build(
-        random_unit_fraction(rng, bound),
-        [random_unit_fraction(rng, bound) for _ in range(n)],
-        [random_unit_fraction(rng, bound) for _ in range(n)])
 
 
 def read_distribution(stream: TextIO) -> Distribution:

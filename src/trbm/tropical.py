@@ -23,8 +23,8 @@ from .codes import (HAMMING_LIMIT, ball_centers, ball_slicing,
 from .cube import (Slicing, affine_values, all_vertices, enumerate_slicings,
                    read_vertex_values, vertex_coords)
 from .linalg import Matrix, _int_rows, integer_kernel, qtuple, rank_01
-from .lp import LinearSystem, solve_feasibility
-from .parallel import parallel_map
+from .lp import Farkas, LinearSystem, solve_feasibility
+from .parallel import parallel_map, workers
 
 Q = Fraction
 
@@ -244,6 +244,8 @@ def tropical_dimension(n: int, k: int, strategy: str = "exhaustive",
         raise ValueError(f"dim needs n >= 1, got n={n}")
     if k < 0:
         raise ValueError(f"dim needs k >= 0, got k={k}")
+    if restarts < 1:
+        raise ValueError(f"dim needs restarts >= 1, got restarts={restarts}")
     if strategy == "exhaustive":
         slicings = enumerate_slicings(n, allow_long=allow_long)
         total = 1
@@ -278,9 +280,16 @@ def tropical_dimension(n: int, k: int, strategy: str = "exhaustive",
 
 
 def _search_exhaustive(n, k, slicings, threads):
+    """The first combination of the highest rank, in combination order.
+
+    One worker scans all combinations as one batch, so the scan stops at
+    the first one that reaches the shape bound; more workers get
+    ``8 * threads`` batches, each stopping at its own first.
+    """
     combos = list(combinations(range(len(slicings)), k))
     masks = [s.mask for s in slicings]
-    chunk = max(1, len(combos) // max(1, threads * 8))
+    count = 1 if workers(threads) <= 1 else threads * 8
+    chunk = max(1, len(combos) // count)
     batches = [(n, _rank_bound(n, k), masks, combos[i:i + chunk])
                for i in range(0, len(combos), chunk)]
     best_rank, best_idx = 0, None
@@ -326,7 +335,7 @@ def _search_greedy(n, k, seed, restarts):
     except ValueError:
         seed_slicings = None
     best_rank, best = 0, None
-    for attempt in range(max(1, restarts)):
+    for attempt in range(restarts):
         if attempt == 0 and seed_slicings is not None:
             current = list(seed_slicings)
         else:
@@ -371,35 +380,54 @@ def tropical_membership(q: TropicalPoint) -> MembershipResult:
     c + mu on C, where omega.v + c >= 0 on C and <= 0 off C.  Cones are
     taken closed, so fan boundary points are members.
 
-    The equalities read E x = q with E fixed by C.  A slicing is skipped
-    without an LP when a vector y of the left kernel of E
-    (:func:`_membership_block`) has y.q != 0: then E x = q has no
-    solution.  Only infeasible systems are skipped and slicings are
-    tried in the same order, so the first feasible one and its witness
-    are those of one solve per slicing.
+    The system reads E x = q and W x >= 0 with E and W fixed by C.  A
+    Farkas certificate of it is (y, m) with m >= 0, m.W + y.E = 0 and
+    y.q > 0 (:meth:`Farkas.refutes`), and only y.q involves q.
+    So each slicing keeps the certificates of its infeasible systems
+    (:func:`_membership_block`) and is skipped without an LP when one of
+    them has y.q > 0; that certificate is re-checked on q's system at
+    every use (:func:`_refuted`).  The kept certificates start as +-y for
+    each y of the left kernel of E (m = 0, E x = q inconsistent), and
+    every LP that returns None adds its own.  Only infeasible systems are
+    skipped and slicings are tried in the same order, so the first
+    feasible one and its witness are those of one solve per slicing.
     """
     n = q.n
     if n > 4:
         raise ValueError("membership iterates all slicings; needs n <= 4")
     [qs] = _int_rows([q.values])
     for s in enumerate_slicings(n):
-        _, _, left_kernel = _membership_block(n, s.mask)
-        if any(sum(map(mul, y, qs)) for y in left_kernel):
+        if _refuted(n, s.mask, qs):
             continue
-        result = _membership_one(q, s)
+        result = _membership_one(q, s, _membership_block(n, s.mask).kept)
         if result is not None:
             return result
     return MembershipResult(member=False)
 
 
-@lru_cache(maxsize=None)
-def _membership_block(n: int, mask: int):
-    """The rows of the membership system of the slicing ``mask``, without q.
+@dataclass(frozen=True)
+class _Block:
+    """The rows of the membership system of one slicing, without q: the
+    equalities E (one row per vertex, over b, omega, c, mu) and the weak
+    rows W; the values of the rows of E, then W, at the point of
+    :func:`_refuted`; and the certificates kept for the slicing, a list
+    that grows as LPs return None."""
 
-    Returns the equality block E (one row per vertex, over b, omega, c,
-    mu), the weak rows, and an integer basis of the left kernel of E,
-    each y of which is checked by substitution to satisfy y.E = 0.
-    """
+    eq: tuple[tuple[int, ...], ...]
+    weak: tuple[tuple[int, ...], ...]
+    at: tuple[int, ...]
+    kept: list[Farkas]
+
+
+#: A kept certificate is re-checked at the point with unknown j equal to
+#: 2^(SPREAD j) (:func:`_refuted`).
+SPREAD = 64
+
+
+@lru_cache(maxsize=None)
+def _membership_block(n: int, mask: int) -> _Block:
+    """The :class:`_Block` of the slicing ``mask``, keeping to begin with
+    +-y, m = 0 for each y of an integer basis of the left kernel of E."""
     zero = (0,) * n
     eq, weak = [], []
     for v in all_vertices(n):
@@ -411,21 +439,59 @@ def _membership_block(n: int, mask: int):
             eq.append(coords + zero + (0, 1))
             weak.append(zero + tuple(-x for x in coords) + (-1, 0, 0))
     left_kernel, _ = integer_kernel(Matrix(eq).transpose())
-    for y in left_kernel:
-        if any(sum(yv * row[j] for yv, row in zip(y, eq))
-               for j in range(2 * n + 2)):
-            raise AssertionError(f"left kernel vector {y} of slicing "
-                                 f"{mask:x} failed re-validation")
-    return tuple(eq), tuple(weak), tuple(map(tuple, left_kernel))
+    none = (0,) * len(weak)
+    return _Block(tuple(eq), tuple(weak),
+                  tuple(map(_at, eq + [row[:-1] for row in weak])),
+                  [Farkas((), none, tuple(sign * x for x in y))
+                   for y in left_kernel for sign in (1, -1)])
 
 
-def _membership_one(q: TropicalPoint,
-                    s: Slicing) -> Optional[MembershipResult]:
+@lru_cache(maxsize=None)
+def _at(row: tuple[int, ...]) -> int:
+    """The value of a row over the unknowns at the point of
+    :func:`_refuted`."""
+    return sum(a << SPREAD * j for j, a in enumerate(row))
+
+
+def _refuted(n: int, mask: int, qs: Sequence[int]) -> bool:
+    """Whether a certificate kept for the slicing ``mask`` refutes the
+    point with integer values ``qs`` (q's values times their common
+    denominator, which leaves every sign as it is).
+
+    The first certificate (y, m) with y.q > 0 does, once it is checked
+    by substitution on the system of ``qs``: m >= 0, and the combination
+    m.W + y.(E | -q) has the constant -y.q < 0 (W's constants are 0) and
+    no other coefficient.
+    The entries of E and W are 0 or +-1, so each coefficient c_j on an
+    unknown has |c_j| <= sum |m| + sum |y|.  Below 2^(SPREAD - 1) they
+    are all 0 exactly when the combination's value at the point with
+    unknown j equal to 2^(SPREAD j) is 0, since the c_j are that value's
+    digits in base 2^SPREAD: one substitution checks every column.
+    """
+    block = _membership_block(n, mask)
+    for cert in block.kept:
+        if sum(map(mul, cert.eq, qs)) > 0:
+            if (min(cert.weak) < 0
+                    or sum(cert.weak) + sum(map(abs, cert.eq))
+                    >= 1 << (SPREAD - 1)
+                    or sum(map(mul, cert.eq + cert.weak, block.at))):
+                raise AssertionError(f"Farkas certificate of slicing "
+                                     f"{mask:x} failed re-validation")
+            return True
+    return False
+
+
+def _membership_one(q: TropicalPoint, s: Slicing,
+                    certificates: Optional[list] = None
+                    ) -> Optional[MembershipResult]:
+    """The member of slicing ``s`` solved by one LP, or None; the
+    certificate of a None is appended to ``certificates``, if given."""
     n = q.n
-    eq, weak, _ = _membership_block(n, s.mask)
+    block = _membership_block(n, s.mask)
     witness = solve_feasibility(LinearSystem.build(
-        2 * n + 2, weak=weak,
-        eq=[row + (-x,) for row, x in zip(eq, q.values)]))
+        2 * n + 2, weak=block.weak,
+        eq=[row + (-x,) for row, x in zip(block.eq, q.values)]),
+        certificates)
     if witness is None:
         return None
     return MembershipResult(True, s, witness[:n], witness[n:2 * n],

@@ -11,6 +11,7 @@ from fractions import Fraction as Q
 from itertools import combinations
 from random import Random
 
+from helpers import random_exp_params, random_mixture_params
 from trbm.codes import (covering_radius, covering_upper, exact_covering_size,
                         exact_packing_size, hamming_code, min_distance,
                         varshamov_lower)
@@ -24,7 +25,6 @@ from trbm.polynomials import (GAP_WITNESS_WEIGHTS, all_flattening_minors,
 from trbm.rbmstats import (check_membership_necessary, covariance_matrix,
                            hadamard_product, joint_distribution,
                            max_flattening_rank, mixture_distribution,
-                           random_exp_params, random_mixture_params,
                            reparameterize, stack)
 from trbm.tropical import (TropParams, TropicalPoint, inference_function,
                            tropical_dimension, tropical_membership,

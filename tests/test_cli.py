@@ -46,7 +46,7 @@ def test_slicings_file_output(tmp_path, capsys):
     assert code == 0
     import io
 
-    from trbm.cube import read_slicings
+    from helpers import read_slicings
 
     lines = out.read_text().splitlines()
     assert len(lines) == 14
@@ -362,6 +362,15 @@ def test_dim_k_below_zero_exits_2(strategy, capsys):
                          "--strategy", strategy)
     assert (code, out) == (2, "")
     assert err == "error: dim needs k >= 0, got k=-1\n"
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "greedy_random"])
+@pytest.mark.parametrize("restarts", ["0", "-5"])
+def test_dim_restarts_below_one_exits_2(restarts, strategy, capsys):
+    code, out, err = run(capsys, "dim", "--n", "3", "--k", "1",
+                         "--strategy", strategy, "--restarts", restarts)
+    assert (code, out) == (2, "")
+    assert err == f"error: dim needs restarts >= 1, got restarts={restarts}\n"
 
 
 @pytest.mark.parametrize("n", ["1", "16"])

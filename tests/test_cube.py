@@ -5,14 +5,15 @@ from random import Random
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from helpers import read_slicings
 from trbm import cube
 from trbm.codes import ball_slicing
 from trbm.cube import (Slicing, _enumerate_arrangement, _enumerate_brute,
                        _parallelogram, affine_values, all_vertices,
                        count_zonotope_facets,
                        cube_symmetries, enumerate_slicings, is_slicing,
-                       read_slicings, subset_mask, vertex_coords,
-                       vertex_index, write_slicings)
+                       subset_mask, vertex_coords, vertex_index,
+                       write_slicings)
 from trbm.lp import LinearSystem, _Tableau, solve_feasibility
 from trbm.tropical import TropParams, tropical_morphism
 
@@ -333,14 +334,29 @@ def test_separation_witness_is_rechecked(monkeypatch):
     solve = _Tableau.solve
 
     def corrupted(tableau, box):  # the constant term's sign flipped
-        y, den = solve(tableau, box)
-        return [*y[:-1], -y[-1]], den
+        (y, den), _ = solve(tableau, box)
+        return ([*y[:-1], -y[-1]], den), None
 
     monkeypatch.setattr(_Tableau, "solve", corrupted)
     with pytest.raises(AssertionError, match="re-validation"):
         is_slicing({0b111}, 3)
     with pytest.raises(AssertionError, match="re-validation"):
         _enumerate_arrangement(2, 1)
+
+
+def test_separation_certificate_is_rechecked():
+    # the XOR split of the square reaches no LP in is_slicing (a
+    # parallelogram refutes it first), so its margin LP is run here
+    rows = [cube._signed_rows(2)[v][side]
+            for v, side in enumerate((1, 0, 0, 1))]
+    witness, pi = cube._margin_lp(rows, 3, cube._box(3))
+    assert witness is None and any(pi)
+    assert cube._rechecked((None, pi), rows) is None
+    for i in range(len(pi)):
+        tampered = list(pi)
+        tampered[i] += 1
+        with pytest.raises(AssertionError, match="re-validation"):
+            cube._rechecked((None, tampered), rows)
 
 
 def test_is_slicing_witnesses_are_those_of_solve_feasibility():

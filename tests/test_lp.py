@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as Q
 from random import Random
 from unittest.mock import patch
@@ -161,9 +162,133 @@ def test_evaluate_rejects_zero_and_negative_near_misses():
         assert sys_.evaluate(x) == ok
 
 
+def farkas_oracle(sys_, cert):
+    """The conditions of a Farkas certificate in Fraction arithmetic,
+    column by column: multipliers one per row, >= 0 off the equalities,
+    a combination that vanishes on the unknowns and has a constant < 0,
+    or = 0 with some strict multiplier > 0."""
+    pairs = [(Q(k), row) for mults, rows in ((cert.strict, sys_.strict),
+                                             (cert.weak, sys_.weak),
+                                             (cert.eq, sys_.eq))
+             for k, row in zip(mults, rows)]
+    combo = [sum((k * row[j] for k, row in pairs), Q(0))
+             for j in range(sys_.num_vars + 1)]
+    return ((len(cert.strict), len(cert.weak), len(cert.eq))
+            == (len(sys_.strict), len(sys_.weak), len(sys_.eq))
+            and min(cert.strict + cert.weak, default=0) >= 0
+            and not any(combo[:-1])
+            and (combo[-1] < 0 or combo[-1] == 0 and any(cert.strict)))
+
+
+@st.composite
+def rational_systems(draw):
+    """Small systems with integer and fractional entries: strict, weak
+    and equality rows, with the constant column all zero or drawn."""
+    m = draw(st.integers(1, 4))
+    homogeneous = draw(st.booleans())
+    entry = st.builds(Q, st.integers(-6, 6), st.sampled_from((1, 1, 2, 3)))
+
+    def rows(most):
+        return draw(st.lists(
+            st.tuples(*[entry] * m, st.just(0) if homogeneous else entry),
+            max_size=most))
+
+    strict, weak, eq = rows(5), rows(4), rows(3)
+    assume(strict or weak or eq)
+    return LinearSystem.build(m, strict, weak, eq)
+
+
+def test_every_answer_is_a_checked_witness_or_certificate():
+    """A witness that substitution accepts, or one certificate that both
+    ``Farkas.refutes`` and the Fraction oracle accept."""
+    seen = Counter()
+
+    @settings(max_examples=500, derandomize=True, database=None,
+              deadline=None)
+    @given(rational_systems())
+    def check(sys_):
+        certificates = []
+        x = solve_feasibility(sys_, certificates)
+        if x is None:
+            [cert] = certificates
+            assert cert.refutes(sys_)
+            assert farkas_oracle(sys_, cert)
+            constants = any(r[-1] for r in sys_.strict + sys_.weak + sys_.eq)
+            seen["refuted", bool(sys_.eq), constants] += 1
+        else:
+            assert certificates == [] and fraction_oracle(sys_, x)
+            seen["solved"] += 1
+
+    check()
+    for kind in ("solved", ("refuted", False, False),
+                 ("refuted", False, True), ("refuted", True, False),
+                 ("refuted", True, True)):
+        assert seen[kind] > 0, (kind, seen)
+
+
+#: Infeasible systems that reach the margin LP: strict rows only, strict
+#: rows on the kernel of an equality, and weak rows with constants.
+LP_REFUTED = (
+    separation_system({0b00, 0b11}, 2),
+    LinearSystem.build(2, strict=[(1, 0, 0), (0, 1, 0)], eq=[(1, 1, 0)]),
+    LinearSystem.build(2, weak=[(1, 0, -1), (0, 1, -1)], eq=[(1, 1, -1)]),
+)
+
+
+@pytest.mark.parametrize("sys_", LP_REFUTED)
+def test_tampered_multiplier_fails_revalidation(sys_):
+    margin_lp = lp._margin_lp
+    pi = []
+
+    def tampered(rows, nvars, box, index=None):
+        witness, got = margin_lp(rows, nvars, box)
+        assert witness is None
+        pi[:] = got
+        if index is not None:
+            got = list(got)
+            got[index] += 1
+        return None, got
+
+    with patch.object(lp, "_margin_lp", tampered):
+        assert solve_feasibility(sys_) is None
+    assert any(pi)
+    for index in range(len(pi)):
+        with patch.object(lp, "_margin_lp",
+                          lambda *a, i=index: tampered(*a, index=i)):
+            with pytest.raises(AssertionError, match="Farkas"):
+                solve_feasibility(sys_)
+
+
+@pytest.mark.parametrize("sys_", LP_REFUTED)
+def test_altered_certificate_is_not_accepted(sys_):
+    certificates = []
+    assert solve_feasibility(sys_, certificates) is None
+    [cert] = certificates
+    assert cert.refutes(sys_)
+    for field in ("strict", "weak", "eq"):
+        mults = getattr(cert, field)
+        for i, k in enumerate(mults):
+            if k:       # a sign flipped, or the row dropped
+                for altered in (mults[:i] + (-k,) + mults[i + 1:],
+                                mults[:i] + mults[i + 1:]):
+                    bad = replace(cert, **{field: altered})
+                    assert not bad.refutes(sys_)
+                    assert not farkas_oracle(sys_, bad)
+
+
+def margin_farkas_oracle(pi, rows):
+    """Margin LP multipliers, one per row (a, s): pi >= 0, the rows
+    combine to sum pi_i a_i = 0 and sum pi_i s_i > 0."""
+    return (len(pi) == len(rows) and min(pi, default=0) >= 0
+            and all(sum(k * a[j] for k, (a, _) in zip(pi, rows)) == 0
+                    for j in range(len(rows[0][0])))
+            and sum(k * s for k, (_, s) in zip(pi, rows)) > 0)
+
+
 def full_tableau_margin_lp(rows, nvars, box, pivots=None, seen=None):
     """The margin LP on the full condensed tableau, box rows included
-    from the start: the oracle of ``lp._margin_lp``.
+    from the start: the oracle of ``lp._margin_lp``, with its result
+    ((y, den), None) or (None, Farkas multipliers of the rows).
 
     ``pivots``, when given, receives each pivot element in turn.
     ``seen``, when given, counts what the run exercised: an end with no
@@ -234,12 +359,19 @@ def full_tableau_margin_lp(rows, nvars, box, pivots=None, seen=None):
         seen["degenerate_end"] += not phase2
         seen["phase2_pivots"] += phase2 >= 2
     if obj[-1] >= 0:
-        return None
+        # the dual multipliers: minus the objective entry of each
+        # nonbasic slack, and the box rows' must all be 0
+        duals = [0] * nrows
+        for j, label in enumerate(nonbasic):
+            if label >= nstruct:
+                duals[label - nstruct] = -obj[j]
+        assert not any(duals[ncon:])
+        return None, duals[:ncon]
     values = [0] * nstruct
     for i, label in enumerate(basis):
         if label < nstruct:
             values[label] = tab[i][-1]
-    return [values[j] - values[nvars + j] for j in range(nvars)], den
+    return ([values[j] - values[nvars + j] for j in range(nvars)], den), None
 
 
 @st.composite
@@ -261,7 +393,7 @@ def integer_systems(draw):
 
 
 def test_margin_lp_matches_full_tableau_oracle():
-    """``_margin_lp`` returns the oracle's (y, den) or None, through the
+    """``_margin_lp`` returns the oracle's witness or multipliers, through the
     oracle's pivots, on every LP that ``solve_feasibility`` runs for
     random integer systems and on the separation LPs of n = 3 splits."""
     seen = Counter()
@@ -278,6 +410,7 @@ def test_margin_lp_matches_full_tableau_oracle():
             got = margin_lp(rows, nvars, box)
         assert got == full_tableau_margin_lp(rows, nvars, box, expected,
                                              seen)
+        assert got[0] is not None or margin_farkas_oracle(got[1], rows)
         assert pivots == expected
         return got
 
@@ -318,8 +451,8 @@ def margin_rows(draw):
 
 def test_added_rows_match_full_tableau_oracle():
     """A tableau built from the first m rows and given the others one at
-    a time by ``add`` solves, after every row, to the oracle's (y, den)
-    or None for the rows so far, through the oracle's pivots."""
+    a time by ``add`` solves, after every row, to the oracle's witness or
+    multipliers for the rows so far, through the oracle's pivots."""
     seen = Counter()
     pivot = lp._pivot
     pivots, leaves = [], []
@@ -348,6 +481,8 @@ def test_added_rows_match_full_tableau_oracle():
                 got = tableau.solve(box)
                 assert got == full_tableau_margin_lp(rows[:i], nvars, box,
                                                      expected)
+                assert got[0] is not None \
+                    or margin_farkas_oracle(got[1], rows[:i])
                 assert pivots == expected
                 del pivots[kept:]
 

@@ -5,14 +5,14 @@ from random import Random
 
 import pytest
 
+from helpers import random_exp_params, random_mixture_params
 from trbm.cube import all_vertices, vertex_coords, write_vertex_values
 from trbm.linalg import rank
 from trbm.rbmstats import (Distribution, ExpParams, MixtureParams,
                            check_membership_necessary, covariance_matrix,
                            flattening, hadamard_product, joint_distribution,
                            marginal_one, max_flattening_rank,
-                           mixture_distribution, random_exp_params,
-                           random_mixture_params, read_distribution,
+                           mixture_distribution, read_distribution,
                            reparameterize, splits, stack)
 
 

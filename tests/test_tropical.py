@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 from fractions import Fraction as Q
 from itertools import combinations
 from random import Random
@@ -9,6 +10,7 @@ from trbm import linalg, tropical
 from trbm.codes import code_to_slicings, hamming_code
 from trbm.cube import all_vertices, enumerate_slicings, is_slicing, \
     vertex_coords, write_vertex_values
+from trbm.fan import secondary_fan_faces
 from trbm.linalg import Matrix, rank, rank_bareiss
 from trbm.tropical import (AmbiguousArgmax, MembershipResult, TropParams,
                            TropicalPoint, _code_slicings,
@@ -362,17 +364,78 @@ def test_membership_matches_lp_only_oracle_on_lifts():
     assert 0 < members < 30
 
 
+def test_kept_certificates_match_lp_only_oracle():
+    """Membership with the certificates kept over model_fan's points and
+    200 seeded lifts gives the answers of one LP per slicing."""
+    _membership_block.cache_clear()
+    rng = Random(12)
+    points = [TropicalPoint(3, f.point) for f in secondary_fan_faces()
+              if f.quotient_dim >= 1]
+    points += [TropicalPoint.build(3, [rng.randint(-60, 60)
+                                       for _ in range(8)])
+               for _ in range(200)]
+    results = [tropical_membership(q) for q in points]
+    assert any(any(cert.weak) for s in enumerate_slicings(3)
+               for cert in _membership_block(3, s.mask).kept)
+    assert results == [lp_only_membership(q) for q in points]
+
+
+def test_a_second_query_runs_only_the_feasible_lp(monkeypatch):
+    """The certificates of a point's infeasible LPs refute it again."""
+    calls = []
+    real = tropical.solve_feasibility
+
+    def counted(system, certificates=None):
+        calls.append(system)
+        return real(system, certificates)
+
+    monkeypatch.setattr(tropical, "solve_feasibility", counted)
+    _membership_block.cache_clear()
+    rng = Random(5)
+    for _ in range(20):
+        q = TropicalPoint.build(3, [rng.randint(-9, 9) for _ in range(8)])
+        first = tropical_membership(q)
+        calls.clear()
+        assert tropical_membership(q) == first
+        assert len(calls) == first.member
+
+
+def test_tampered_kept_certificate_fails_revalidation():
+    parity = TropicalPoint.build(
+        3, [1 if bin(v).count("1") % 2 == 0 else 0 for v in all_vertices(3)])
+    _membership_block.cache_clear()
+    try:
+        assert not tropical_membership(parity).member
+        for s in enumerate_slicings(3):
+            kept = _membership_block(3, s.mask).kept
+            for i, cert in enumerate(kept):
+                if any(cert.weak):
+                    j = next(j for j, k in enumerate(cert.weak) if k)
+                    weak = list(cert.weak)
+                    weak[j] += 1
+                    kept[i] = replace(cert, weak=tuple(weak))
+                    with pytest.raises(AssertionError,
+                                       match="re-validation"):
+                        tropical_membership(parity)
+                    return
+        raise AssertionError("no LP certificate was kept")
+    finally:
+        _membership_block.cache_clear()
+
+
 def test_left_kernel_refutes_only_inconsistent_equalities():
     parity = TropicalPoint.build(
         3, [1 if bin(v).count("1") % 2 == 0 else 0 for v in all_vertices(3)])
+    _membership_block.cache_clear()   # the kept certificates: kernel only
     refuted = 0
     for s in enumerate_slicings(3):
-        eq, _, left_kernel = _membership_block(3, s.mask)
-        if any(sum(y * x for y, x in zip(vec, parity.values))
-               for vec in left_kernel):
+        block = _membership_block(3, s.mask)
+        assert len(block.kept) == 2 * (8 - rank(Matrix(block.eq)))
+        assert all(not any(cert.weak) for cert in block.kept)
+        if any(sum(y * x for y, x in zip(cert.eq, parity.values)) > 0
+               for cert in block.kept):
             refuted += 1
             assert _membership_one(parity, s) is None
-        assert len(left_kernel) == 8 - rank(Matrix(eq))
     assert 0 < refuted < 104
 
 
@@ -386,7 +449,7 @@ def test_corrupted_left_kernel_fails_revalidation(monkeypatch):
     _membership_block.cache_clear()
     monkeypatch.setattr(tropical, "integer_kernel", corrupted)
     try:
-        with pytest.raises(AssertionError, match="left kernel"):
+        with pytest.raises(AssertionError, match="re-validation"):
             tropical_membership(TropicalPoint.build(3, [1, 0] * 4))
     finally:
         _membership_block.cache_clear()
