@@ -37,20 +37,19 @@ Infeasibility comes with a Farkas certificate.  At the optimum t = 0
 the final objective row holds the dual multipliers: minus its entry in
 the column of a nonbasic constraint slack, and 0 for a basic one.  They
 are >= 0 and combine the constraint rows to zero with a positive
-coefficient of t; the box rows get 0, since the dual optimum is box
-times their multipliers.  :func:`solve_feasibility` maps them back to
-the system's rows: a row's multiplier times its integer scale, and on
-the equalities the free multipliers y of one exact solve, since the
-combination of the other rows vanishes on the kernel and so lies in the
-row space of the equalities.  Its early exits get certificates the same
-way (:class:`Farkas`).
+coefficient of t; the box rows get 0, since the dual optimum, box times
+the sum of their multipliers, equals t* = 0.  :func:`solve_feasibility`
+maps them back to the system's rows: a row's multiplier times its
+integer scale, and on the equalities the free multipliers y of one
+exact solve, since the combination of the other rows vanishes on the
+kernel and so lies in the row space of the equalities.  Its early exits
+get certificates the same way (:class:`Farkas`).
 
 Returned witnesses are re-checked by direct substitution before being
-handed back, and certificates the same way
-(:meth:`Farkas.refutes`).  The slicing queries of
-:mod:`trbm.cube` hand their integer rows to :func:`_margin_lp` or
-:class:`_Tableau` directly, with the same box (:func:`_box`), and
-re-check the witness or the multipliers themselves.
+handed back, and certificates the same way (:meth:`Farkas.refutes`).
+The slicing queries of :mod:`trbm.cube` hand their integer rows to
+:func:`_margin_lp` or :class:`_Tableau` directly, with the same box
+(:func:`_box`), and re-check the witness or the multipliers themselves.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .linalg import Matrix, _eliminate, _int_rows, _number, integer_kernel
 
@@ -109,10 +108,11 @@ class LinearSystem:
                 and all(_dot(r, xs) == 0 for r in self.eq))
 
 
-@dataclass(frozen=True)
-class Farkas:
+class Farkas(NamedTuple):
     """Multipliers refuting a :class:`LinearSystem`, one per row:
-    ``strict`` and ``weak`` >= 0, ``eq`` free (:meth:`refutes`)."""
+    ``strict`` and ``weak`` >= 0, ``eq`` free (:meth:`refutes`).  A
+    ``NamedTuple`` is made at import in a tenth of a frozen dataclass's
+    time."""
 
     strict: tuple[Scalar, ...]
     weak: tuple[Scalar, ...]

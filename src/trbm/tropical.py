@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 from operator import mul
 from random import Random
-from typing import Optional, Sequence, TextIO
+from typing import NamedTuple, Optional, Sequence, TextIO
 
 from .codes import (HAMMING_LIMIT, ball_centers, ball_slicing,
                     hamming_code, shortened_hamming_code)
@@ -405,8 +405,7 @@ def tropical_membership(q: TropicalPoint) -> MembershipResult:
     return MembershipResult(member=False)
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(NamedTuple):
     """The rows of the membership system of one slicing, without q: the
     equalities E (one row per vertex, over b, omega, c, mu) and the weak
     rows W; the values of the rows of E, then W, at the point of

@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction as Q
 from random import Random
 from unittest.mock import patch
@@ -271,7 +270,7 @@ def test_altered_certificate_is_not_accepted(sys_):
             if k:       # a sign flipped, or the row dropped
                 for altered in (mults[:i] + (-k,) + mults[i + 1:],
                                 mults[:i] + mults[i + 1:]):
-                    bad = replace(cert, **{field: altered})
+                    bad = cert._replace(**{field: altered})
                     assert not bad.refutes(sys_)
                     assert not farkas_oracle(sys_, bad)
 

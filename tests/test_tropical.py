@@ -1,5 +1,4 @@
 import io
-from dataclasses import replace
 from fractions import Fraction as Q
 from itertools import combinations
 from random import Random
@@ -413,7 +412,7 @@ def test_tampered_kept_certificate_fails_revalidation():
                     j = next(j for j, k in enumerate(cert.weak) if k)
                     weak = list(cert.weak)
                     weak[j] += 1
-                    kept[i] = replace(cert, weak=tuple(weak))
+                    kept[i] = cert._replace(weak=tuple(weak))
                     with pytest.raises(AssertionError,
                                        match="re-validation"):
                         tropical_membership(parity)
