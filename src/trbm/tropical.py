@@ -382,15 +382,16 @@ def tropical_membership(q: TropicalPoint) -> MembershipResult:
 
     The system reads E x = q and W x >= 0 with E and W fixed by C.  A
     Farkas certificate of it is (y, m) with m >= 0, m.W + y.E = 0 and
-    y.q > 0 (:meth:`Farkas.refutes`), and only y.q involves q.
-    So each slicing keeps the certificates of its infeasible systems
-    (:func:`_membership_block`) and is skipped without an LP when one of
-    them has y.q > 0; that certificate is re-checked on q's system at
-    every use (:func:`_refuted`).  The kept certificates start as +-y for
-    each y of the left kernel of E (m = 0, E x = q inconsistent), and
-    every LP that returns None adds its own.  Only infeasible systems are
-    skipped and slicings are tried in the same order, so the first
-    feasible one and its witness are those of one solve per slicing.
+    y.q > 0 (:meth:`Farkas.refutes`), and only y.q involves q.  So each
+    slicing keeps the certificates of its infeasible systems for the
+    life of the process (:func:`_membership_block`) and is skipped
+    without an LP when one of them has y.q > 0; that certificate is
+    re-checked on q's system at every use (:func:`_refuted`).  The kept
+    certificates start as +-y for each y of the left kernel of E (m = 0,
+    E x = q inconsistent), and every LP that returns None adds its own.
+    Only infeasible systems are skipped and slicings are tried in the
+    same order, so the first feasible one and its witness are those of
+    one solve per slicing.
     """
     n = q.n
     if n > 4:
