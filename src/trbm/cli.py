@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence
@@ -46,30 +47,23 @@ def _json(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _emit(doc, args, plain: Optional[str] = None, write=None) -> None:
-    """``doc`` as JSON on stdout under ``--json``; otherwise the output
-    of ``write`` (:func:`_write`) when it is given, else ``plain`` on
-    stdout.
+def _emit(doc, args, text) -> None:
+    """Write a command's result: ``doc`` as JSON under ``--json``, else
+    ``text``, a string or a function that writes to a stream.
 
-    ``doc`` may be a function that builds the document, for listings
-    that are turned into JSON only when it is asked for.
+    The result goes to the ``--out`` file when one is given, else to
+    ``sys.stdout`` as it is at the call.  ``doc`` may be a function that
+    builds the document, for listings that are turned into JSON only
+    when it is asked for, or None for a result with no JSON form, whose
+    ``text`` is written under ``--json`` too.
     """
-    if args.json:
-        print(_json(doc() if callable(doc) else doc))
-    elif write is None:
-        print(plain)
-    else:
-        _write(write, args)
-
-
-def _write(write, args) -> None:
-    """``write`` called with the ``--out`` file if one is given, else
-    with stdout."""
-    if args.out:
-        with open(args.out, "w") as fh:
-            write(fh)
-    else:
-        write(sys.stdout)
+    if args.json and doc is not None:
+        text = _json(doc() if callable(doc) else doc)
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+        if callable(text):
+            text(out)
+        else:
+            out.write(text + "\n")
 
 
 def _read(path: str, reader):
@@ -124,7 +118,7 @@ def cmd_slicings(args) -> None:
         _emit(lambda: dict(doc, slicings=[
                   {"pos": format(s.mask, "x"), "c": str(s.c),
                    "omega": q_list(s.omega)} for s in slicings]),
-              args, write=partial(write_slicings, slicings))
+              args, partial(write_slicings, slicings))
 
 
 def cmd_zonotope(args) -> None:
@@ -135,7 +129,7 @@ def cmd_zonotope(args) -> None:
 def cmd_phi(args) -> None:
     point = tropical_morphism(_trop_params(args.params))
     _emit({"n": point.n, "values": q_list(point.values)}, args,
-          write=partial(write_vertex_values, point.values))
+          partial(write_vertex_values, point.values))
 
 
 def cmd_infer(args) -> None:
@@ -184,7 +178,7 @@ def cmd_codes(args) -> None:
         _emit({"n": code.n, "size": len(code.words),
                "words": [format(w, f"0{code.n}b")
                          for w in code.sorted_words()]},
-              args, write=partial(write_code, code))
+              args, partial(write_code, code))
     elif args.codes_op == "analyze":
         _require(args, code=args.code)
         code = _read(args.code, read_code)
@@ -222,12 +216,12 @@ def cmd_codes(args) -> None:
     elif args.codes_op == "to-slicings":  # no JSON form: --json is ignored
         _require(args, code=args.code)
         slicings = code_to_slicings(_read(args.code, read_code))
-        _write(partial(write_slicings, slicings), args)
+        _emit(None, args, partial(write_slicings, slicings))
 
 
 def _emit_distribution(dist, args) -> None:
     _emit({"n": dist.n, "p": q_list(dist.p)}, args,
-          write=partial(write_vertex_values, dist.p))
+          partial(write_vertex_values, dist.p))
 
 
 def cmd_rbm(args) -> None:
@@ -286,7 +280,7 @@ def cmd_tropvar(args) -> None:
         _emit(lambda: {"n": args.n, "split": split, "count": len(minors),
                        "minors": [poly_mod.format_polynomial(m).split("\n")
                                   for m in minors]},
-              args, write=write)
+              args, write)
     elif args.tropvar_op == "initial-form":
         _require(args, poly=args.poly, weights=args.weights)
         f = _read(args.poly,
@@ -328,7 +322,7 @@ def cmd_fan(args) -> None:
         _emit({"count": len(tris),
                "triangulations": [[list(cell) for cell in t.sorted_cells()]
                                   for t in tris]},
-              args, write=write)
+              args, write)
     elif args.fan_op == "sphere-fvector":
         fv = fan_mod.secondary_sphere_fvector()
         _emit({"f_vector": list(fv)}, args, " ".join(map(str, fv)))
@@ -338,7 +332,8 @@ def cmd_fan(args) -> None:
             fv = complex_data.f_vector()
             _emit({"f_vector": list(fv)}, args, " ".join(map(str, fv)))
         else:  # the complex has no plain form: JSON with or without --json
-            print(_json(fan_mod.complex_to_json(complex_data)))
+            doc = fan_mod.complex_to_json(complex_data)
+            _emit(doc, args, _json(doc))
     elif args.fan_op == "homology":
         if args.complex:
             complex_data = fan_mod.complex_from_json(
@@ -365,12 +360,14 @@ def _thread_count(text: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
-                        help="emit JSON on stdout")
+                        help="emit JSON")
     common.add_argument("--seed", type=int, default=0,
                         help="seed for randomized searches (default 0)")
     common.add_argument("--threads", type=_thread_count,
                         help="worker count (default: TRBM_THREADS, else 1); "
                              "results are identical for any value")
+    common.add_argument("--out",
+                        help="write the result to this file, not stdout")
     common.add_argument("--allow-long", action="store_true",
                         dest="allow_long",
                         help="enable long-running modes")
@@ -387,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", action="store_true")
     p.add_argument("--strategy", choices=("arrangement", "brute"),
                    default="arrangement")
-    p.add_argument("--out")
     p.set_defaults(handler=cmd_slicings)
 
     p = sub.add_parser("zonotope-facets", parents=[common],
@@ -399,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluate the tropical morphism")
     p.add_argument("--params", required=True,
                    help="JSON file with W, b, c")
-    p.add_argument("--out")
     p.set_defaults(handler=cmd_phi)
 
     p = sub.add_parser("infer", parents=[common],
@@ -429,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int)
     p.add_argument("--code")
     p.add_argument("--n", type=int)
-    p.add_argument("--out")
     p.set_defaults(handler=cmd_codes)
 
     p = sub.add_parser("rbm", parents=[common],
@@ -439,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "covariance", "check"))
     p.add_argument("--params")
     p.add_argument("--dist", action="append", default=[])
-    p.add_argument("--out")
     p.set_defaults(handler=cmd_rbm)
 
     p = sub.add_parser("tropvar", parents=[common],
@@ -450,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split")
     p.add_argument("--poly")
     p.add_argument("--weights")
-    p.add_argument("--out")
     p.set_defaults(handler=cmd_tropvar)
 
     p = sub.add_parser("fan", parents=[common],
@@ -462,7 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", action="store_true")
     p.add_argument("--fvector", action="store_true")
     p.add_argument("--complex")
-    p.add_argument("--out")
     p.set_defaults(handler=cmd_fan)
 
     return parser

@@ -92,8 +92,10 @@ def covering_radius(code: BinaryCode) -> int:
 def hamming_code(ell: int) -> BinaryCode:
     """The perfect single-error-correcting code of length 2^ell - 1.
 
-    Built as the GF(2) kernel of the check matrix whose columns are the
-    binary expansions of 1 .. 2^ell - 1.
+    The check matrix has the binary expansion of c as column c, for
+    c = 1 .. 2^ell - 1, so the columns 2^b are the unit vectors.  Each
+    other column c gives the basis word with ones at c and at the 2^b
+    for the bits b of c, whose columns sum to c + c = 0 over GF(2).
     """
     if ell < 2:
         raise ValueError("ell must be at least 2")
@@ -101,42 +103,15 @@ def hamming_code(ell: int) -> BinaryCode:
         raise ValueError(f"ell={ell} gives 2^(2^{ell} - {ell + 1}) "
                          f"codewords; ell <= {HAMMING_LIMIT} is supported")
     n = (1 << ell) - 1
-    # check matrix rows over GF(2), one per parity bit
-    rows = []
-    for bit in range(ell):
-        mask = 0
-        for col in range(1, n + 1):
-            if col >> bit & 1:
-                mask |= 1 << (n - col)
-        rows.append(mask)
-    basis = _gf2_kernel_basis(rows, n)
     words = {0}
-    for vec in basis:
-        words |= {w ^ vec for w in words}
+    for c in range(1, n + 1):
+        if c & (c - 1):
+            vec = 1 << (n - c)
+            for b in range(ell):
+                if c >> b & 1:
+                    vec |= 1 << (n - (1 << b))
+            words |= {w ^ vec for w in words}
     return BinaryCode(n, frozenset(words))
-
-
-def _gf2_kernel_basis(rows: list[int], n: int) -> list[int]:
-    rows = [r for r in rows if r]
-    pivots = []
-    reduced = []
-    for row in rows:
-        for p, r in zip(pivots, reduced):
-            if row >> p & 1:
-                row ^= r
-        if row:
-            pivots.append(row.bit_length() - 1)
-            reduced.append(row)
-    basis = []
-    for j in range(n):
-        if j in pivots:
-            continue
-        vec = 1 << j
-        for p, r in zip(pivots, reduced):
-            if r >> j & 1:
-                vec |= 1 << p
-        basis.append(vec)
-    return basis
 
 
 def varshamov_lower(n: int) -> int:

@@ -97,8 +97,8 @@ def _lift_evaluators(n: int) -> tuple[tuple, ...]:
     return tuple(table)
 
 
-def regular_subdivision_from_lift(w, n: int = N) -> RegularSubdivision:
-    """Subdivision induced by lifting vertex v to height w[v].
+def regular_subdivision_from_lift(w) -> RegularSubdivision:
+    """Subdivision induced by lifting vertex v of the 3-cube to height w[v].
 
     A vertex set is a cell when some affine function touches the lift
     exactly there and stays weakly below it everywhere else; maximal
@@ -111,11 +111,11 @@ def regular_subdivision_from_lift(w, n: int = N) -> RegularSubdivision:
     if isinstance(w, TropicalPoint):
         w = w.values
     heights = qtuple(w)
-    if len(heights) != 1 << n:
+    if len(heights) != len(CUBE):
         raise ValueError("expected one height per vertex")
     [h] = _int_rows([heights])
     touching: set[frozenset[int]] = set()
-    for subset, d, lams in _lift_evaluators(n):
+    for subset, d, lams in _lift_evaluators(N):
         hs = [h[s] for s in subset]
         touched = []
         for u, lam in enumerate(lams):
@@ -128,7 +128,7 @@ def regular_subdivision_from_lift(w, n: int = N) -> RegularSubdivision:
             touching.add(frozenset(touched))
     cells = {t for t in touching
              if not any(t < other for other in touching)}
-    return RegularSubdivision(n, frozenset(cells), heights)
+    return RegularSubdivision(N, frozenset(cells), heights)
 
 
 def refines(fine: frozenset[frozenset[int]],
@@ -260,11 +260,9 @@ def fold_inequalities(t: Triangulation) -> list[tuple[Fraction, ...]]:
 
 
 def regularity_witness(t: Triangulation) -> Optional[tuple[Fraction, ...]]:
-    """A lift inducing exactly t, or None when t is not regular."""
-    folds = fold_inequalities(t)
-    witness = solve_feasibility(
-        LinearSystem.build(len(CUBE), strict=[f + (0,) for f in folds]))
-    return witness
+    """A lift inducing exactly t, or None when t is not regular: a point
+    with every fold positive."""
+    return _face_point(fold_inequalities(t), ())
 
 
 @dataclass(frozen=True)
@@ -284,25 +282,25 @@ def secondary_fan_faces() -> tuple[FanFace, ...]:
     strictly feasible point with the J-folds vanishing and the others
     positive exhibits a face; faces repeat across cones and are merged by
     their subdivisions.  The trivial subdivision (the lineality space)
-    appears with quotient dimension 0.
+    appears with quotient dimension 0.  The point of the empty subset is
+    the cone's regularity witness, checked to induce the triangulation.
     """
     lineality = 4
     faces: dict[frozenset[frozenset[int]], FanFace] = {}
     for t in enumerate_triangulations_3cube():
         folds = fold_inequalities(t)
-        witness = regularity_witness(t)
-        if witness is None:
-            raise AssertionError("non-regular triangulation of the 3-cube")
-        sub = regular_subdivision_from_lift(witness)
-        if sub.cells != t.cells:
-            raise AssertionError("fold inequalities disagree with the "
-                                 "induced subdivision")
         for size in range(len(folds) + 1):
             for subset in combinations(range(len(folds)), size):
                 point = _face_point(folds, subset)
                 if point is None:
+                    if not subset:
+                        raise AssertionError("non-regular triangulation "
+                                             "of the 3-cube")
                     continue
                 sub = regular_subdivision_from_lift(point)
+                if not subset and sub.cells != t.cells:
+                    raise AssertionError("fold inequalities disagree with "
+                                         "the induced subdivision")
                 dim = (len(CUBE)
                        - rank(Matrix([folds[j] for j in subset]))
                        if subset else len(CUBE))

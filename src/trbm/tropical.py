@@ -32,6 +32,11 @@ EXHAUSTIVE_GUARD = 20_000
 # greedy_random draws slicings by listing all 2^n vertex margins:
 # n = 15 at k = 2 takes half a second, n = 16 at k = 1 over a minute
 GREEDY_LIMIT = 15
+# without code seeds (_code_slicings) it draws every slicing, and each of
+# up to 60k steps per restart ranks a 2^n x (n + k(n+1)) matrix, by the
+# integer core when the GF(2) rank falls short: the slowest run this
+# allows, n = 6 at k = 9, takes 0.85 s, and n = 7 at k = 17 3.5-4.6 s
+GREEDY_UNSEEDED_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -265,7 +270,16 @@ def tropical_dimension(n: int, k: int, strategy: str = "exhaustive",
         if n > GREEDY_LIMIT:
             raise ValueError(f"greedy_random needs n <= {GREEDY_LIMIT}, "
                              f"got n={n}")
-        max_rank, witness = _search_greedy(n, k, seed, restarts)
+        try:
+            seeds = _code_slicings(n, k)
+        except ValueError:
+            seeds = None
+        entries = (1 << n) * (n + k * (n + 1))
+        if seeds is None and entries > GREEDY_UNSEEDED_ENTRIES:
+            raise ValueError(f"greedy_random without code seeds needs 2^n "
+                             f"(n + k(n+1)) <= {GREEDY_UNSEEDED_ENTRIES}, "
+                             f"got {entries} at n={n}, k={k}")
+        max_rank, witness = _search_greedy(n, k, seeds, seed, restarts)
         certified = False
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -327,17 +341,15 @@ def _random_slicing(n: int, rng: Random) -> Slicing:
             return Slicing(n, pos, qtuple(omega), Q(c))
 
 
-def _search_greedy(n, k, seed, restarts):
+def _search_greedy(n, k, seeds, seed, restarts):
+    """Random replacement of one slicing at a time, kept when the rank
+    grows; the first restart starts from ``seeds`` unless it is None."""
     rng = Random(seed)
     target = _rank_bound(n, k)
-    try:
-        seed_slicings = list(_code_slicings(n, k))
-    except ValueError:
-        seed_slicings = None
     best_rank, best = 0, None
     for attempt in range(restarts):
-        if attempt == 0 and seed_slicings is not None:
-            current = list(seed_slicings)
+        if attempt == 0 and seeds is not None:
+            current = list(seeds)
         else:
             current = [_random_slicing(n, rng) for _ in range(k)]
         cur_rank = _slicing_rank(n, [s.mask for s in current])

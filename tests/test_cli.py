@@ -389,6 +389,26 @@ def test_dim_greedy_random_n_above_its_limit_exits_2(n, capsys):
     assert err == f"error: greedy_random needs n <= 15, got n={n}\n"
 
 
+@pytest.mark.parametrize("n, k, entries", [("15", "2049", 1074757632),
+                                            ("7", "17", 18304),
+                                            ("1", "4096", 16386)])
+def test_dim_greedy_random_unseeded_above_its_limit_exits_2(n, k, entries,
+                                                            capsys):
+    # k above the code's ball count, or n = 1, leaves no code seeds
+    code, out, err = run(capsys, "dim", "--n", n, "--k", k,
+                         "--strategy", "greedy_random")
+    assert (code, out) == (2, "")
+    assert err == (f"error: greedy_random without code seeds needs 2^n "
+                   f"(n + k(n+1)) <= 16384, got {entries} at n={n}, k={k}\n")
+
+
+def test_dim_greedy_random_unseeded_at_its_limit_runs(capsys):
+    # n = 1 has no code: 2 (1 + 2k) = 16382 entries at k = 4095
+    code, out, _ = run(capsys, "dim", "--n", "1", "--k", "4095",
+                       "--strategy", "greedy_random")
+    assert (code, out) == (0, "dim=1 max_rank=2 certified=True\n")
+
+
 @pytest.mark.parametrize("value", ["1/0", "abc"])
 def test_member_point_file_non_rational_exits_2(value, tmp_path, capsys):
     point = tmp_path / "q.txt"

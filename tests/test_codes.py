@@ -1,4 +1,6 @@
 import io
+from functools import reduce
+from operator import xor
 
 import pytest
 
@@ -37,6 +39,19 @@ def test_hamming_codes():
         assert (code.n, len(code.words)) == (length, size)
         assert min_distance(code) == 3
         assert covering_radius(code) == 1
+
+
+def test_hamming_words_are_the_kernel_of_the_check_matrix():
+    # coordinate j (bit n - j) has column j of the check matrix, the
+    # binary expansion of j, so the syndrome of w is the XOR of its
+    # coordinates' indices; the kernel holds 2^(n - ell) words
+    for ell in (2, 3, 4):
+        code = hamming_code(ell)
+        n = (1 << ell) - 1
+        assert code.n == n and len(code.words) == 1 << (n - ell)
+        for w in code.words:
+            assert reduce(xor, (j for j in range(1, n + 1)
+                                if w >> (n - j) & 1), 0) == 0
 
 
 def test_bound_formulas():

@@ -11,9 +11,11 @@ census cases were recorded from the full-tableau simplex of ``trbm.lp``.
 Any change to the elimination core or the simplex must reproduce them
 byte for byte.  Long outputs are pinned by the SHA-256 of their stdout.
 The cases of ``OUT_CASES`` and ``OUT_DIGEST_CASES`` also pin the bytes
-of the ``--out`` file, or that none is written.
+of the ``--out`` file, and every subcommand is run with and without
+``--out`` to check that the file holds what stdout would.
 """
 
+import argparse
 import hashlib
 import io
 import json
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from trbm.cli import main
+from trbm.cli import build_parser, main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -106,8 +108,9 @@ DIGEST_CASES = {
     "triangulations_json": ["fan", "triangulations", "--json"],
 }
 
-# Runs that name an --out file: with --json the document goes to stdout
-# and no file is written; fan tm13 always prints its JSON.
+# Runs that name an --out file: the result, text or JSON, goes to that
+# file and nothing to stdout; codes to-slicings has no JSON form and
+# writes its slicings under --json too.
 OUT_CASES = {
     "slicings_3_out": ["slicings", "--n", "3", "--out", "{out}"],
     "phi_out": ["phi", "--params", "{params}", "--out", "{out}"],
@@ -131,6 +134,36 @@ OUT_CASES = {
 OUT_DIGEST_CASES = {
     "triangulations_out": ["fan", "triangulations", "--out", "{out}"],
     "tm13_out": ["fan", "tm13", "--out", "{out}"],
+}
+
+# One run of each subcommand, named by its words on the command line.
+EVERY_COMMAND = {
+    "slicings": ["slicings", "--n", "2"],
+    "zonotope-facets": ["zonotope-facets", "--n", "2"],
+    "phi": ["phi", "--params", "{params}"],
+    "infer": ["infer", "--params", "{params}"],
+    "dim": ["dim", "--n", "3", "--k", "1"],
+    "member-tm1": ["member-tm1", "--point", "{member}"],
+    "codes hamming": ["codes", "hamming", "--ell", "2"],
+    "codes analyze": ["codes", "analyze", "--code", "{code}"],
+    "codes bounds": ["codes", "bounds", "--n", "7"],
+    "codes exact": ["codes", "exact"],
+    "codes to-slicings": ["codes", "to-slicings", "--code", "{code}"],
+    "rbm joint": ["rbm", "joint", "--params", "{joint}"],
+    "rbm mixture": ["rbm", "mixture", "--params", "{mixture}"],
+    "rbm hadamard": ["rbm", "hadamard", "--dist", "{dist}",
+                     "--dist", "{other}"],
+    "rbm flatten-rank": ["rbm", "flatten-rank", "--dist", "{dist}"],
+    "rbm covariance": ["rbm", "covariance", "--dist", "{dist}"],
+    "rbm check": ["rbm", "check", "--dist", "{dist}"],
+    "tropvar minors": ["tropvar", "minors", "--n", "4", "--split", "1,2"],
+    "tropvar initial-form": ["tropvar", "initial-form", "--n", "2",
+                             "--poly", "{poly}", "--weights", "{weights}"],
+    "tropvar witness-2222": ["tropvar", "witness-2222"],
+    "fan triangulations": ["fan", "triangulations"],
+    "fan sphere-fvector": ["fan", "sphere-fvector"],
+    "fan tm13": ["fan", "tm13"],
+    "fan homology": ["fan", "homology", "--complex", "{tm13}"],
 }
 
 
@@ -217,3 +250,25 @@ def test_cli_out_file_is_byte_identical(name, golden, tmp_path):
 def test_cli_out_file_digest_is_identical(name, golden, tmp_path):
     assert (transcript(OUT_DIGEST_CASES[name], write_inputs(tmp_path),
                        digest=True) == golden[name])
+
+
+def test_every_command_lists_each_subcommand():
+    [sub] = [action for action in build_parser()._actions
+             if isinstance(action, argparse._SubParsersAction)]
+    names = []
+    for name, parser in sub.choices.items():
+        ops = [action.choices for action in parser._actions
+               if action.dest.endswith("_op")]
+        names += [f"{name} {op}" for op in ops[0]] if ops else [name]
+    assert sorted(EVERY_COMMAND) == sorted(names)
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("name", sorted(EVERY_COMMAND))
+def test_out_file_holds_what_stdout_would(name, flags, tmp_path):
+    paths = write_inputs(tmp_path)
+    argv = EVERY_COMMAND[name] + flags
+    printed = transcript(argv, paths)
+    assert printed["exit"] == 0 and printed["stdout"]
+    assert transcript(argv + ["--out", "{out}"], paths) == {
+        "exit": 0, "stdout": "", "file": printed["stdout"]}
