@@ -15,7 +15,7 @@ import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Optional, Sequence
 
 from . import fan as fan_mod
@@ -357,7 +357,9 @@ def _thread_count(text: str) -> int:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``trbm`` parser, built at the first call and shared after it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit JSON")
@@ -460,8 +462,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one ``trbm`` command and return its exit code.
+
+    ``main`` may be called any number of times in one process.  The
+    parser is built once, at the first call, and reused: each parse
+    gives a fresh namespace, and ``--dist`` appends to a copy of its
+    default, so nothing of one call reaches the next.
+    ``TRBM_THREADS`` is read at every call that has no ``--threads``.
+    """
+    args = build_parser().parse_args(argv)
     if args.threads is None:
         try:
             args.threads = _thread_count(os.environ.get(ENV_THREADS) or "1")

@@ -98,14 +98,20 @@ class LinearSystem:
         """Check a candidate point against every row, strict rows strictly.
 
         The point is substituted as the integer numerators of its entries
-        over their common denominator D > 0, with D in the constant slot:
-        each row's value is multiplied by D, which leaves every sign as it
-        is, and ``int`` rows are evaluated in ``int`` arithmetic.
+        over their common denominator D > 0, with D in the constant slot,
+        and a row holding a ``Fraction`` is taken times the lcm of its
+        denominators: each value is multiplied by a positive integer,
+        which leaves every sign as it is, and is summed in integers.
+        ``int`` rows are used as they are.
         """
         [xs] = _int_rows([(*x, 1)])
-        return (all(_dot(r, xs) > 0 for r in self.strict)
-                and all(_dot(r, xs) >= 0 for r in self.weak)
-                and all(_dot(r, xs) == 0 for r in self.eq))
+
+        def values(rows):
+            return (_dot(_int_rows([r])[0] if Fraction in map(type, r)
+                         else r, xs) for r in rows)
+        return (all(v > 0 for v in values(self.strict))
+                and all(v >= 0 for v in values(self.weak))
+                and all(v == 0 for v in values(self.eq)))
 
 
 class Farkas(NamedTuple):

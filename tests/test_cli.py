@@ -1,12 +1,19 @@
+import io
 import json
+from functools import reduce
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 pytest.importorskip("jsonschema")
 import jsonschema  # noqa: E402
 
-from trbm.cli import main  # noqa: E402
+from trbm.cli import build_parser, main  # noqa: E402
+from trbm.cube import write_vertex_values  # noqa: E402
+from trbm.rbmstats import hadamard_product, read_distribution  # noqa: E402
+
+GOLDEN_CLI = Path(__file__).with_name("golden_cli.json")
 
 
 def run(capsys, *args):
@@ -44,8 +51,6 @@ def test_slicings_file_output(tmp_path, capsys):
     out = tmp_path / "s.txt"
     code, _, _ = run(capsys, "slicings", "--n", "2", "--out", str(out))
     assert code == 0
-    import io
-
     from helpers import read_slicings
 
     lines = out.read_text().splitlines()
@@ -262,6 +267,50 @@ def test_threads_flag_is_output_neutral(capsys):
     code1, out1, _ = run(capsys, "slicings", "--n", "3", "--threads", "1")
     code2, out2, _ = run(capsys, "slicings", "--n", "3", "--threads", "2")
     assert code1 == code2 == 0 and out1 == out2
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch, capsys):
+    """The parser is built once per process, and no call leaves state
+    for the next: ``--dist`` lists, a bad ``TRBM_THREADS`` and an
+    argparse rejection each touch their own call only."""
+    assert build_parser() is build_parser()
+
+    paths = {}
+    for name, weights in (("a", [3, 1, 4, 1]), ("b", [2, 7, 1, 8]),
+                          ("c", [5, 9, 2, 6])):
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text("".join(f"{w}/{sum(weights)}\n"
+                                       for w in weights))
+
+    def fresh(names):  # what a run in a new process prints
+        dists = [read_distribution(io.StringIO(paths[x].read_text()))
+                 for x in names]
+        out = io.StringIO()
+        write_vertex_values(reduce(hadamard_product, dists).p, out)
+        return out.getvalue()
+
+    for names in (["a", "b"], ["c", "c", "a"]):
+        argv = ["rbm", "hadamard"]
+        for x in names:
+            argv += ["--dist", str(paths[x])]
+        assert build_parser().parse_args(argv).dist == [str(paths[x])
+                                                        for x in names]
+        assert run(capsys, *argv) == (0, fresh(names), "")
+
+    build_parser.cache_clear()  # the next call builds it with abc set
+    monkeypatch.setenv("TRBM_THREADS", "abc")
+    code, out, err = run(capsys, "zonotope-facets", "--n", "3")
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    monkeypatch.delenv("TRBM_THREADS")
+    assert run(capsys, "zonotope-facets", "--n", "3")[:2] == (0, "40\n")
+
+    with pytest.raises(SystemExit) as info:
+        main(["zonotope-facets", "--n", "three"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    golden = json.loads(GOLDEN_CLI.read_text())["zonotope_3"]
+    assert run(capsys, "zonotope-facets", "--n", "3") == (
+        golden["exit"], golden["stdout"], "")
 
 
 PARAMS = {
