@@ -99,16 +99,14 @@ class LinearSystem:
 
         The point is substituted as the integer numerators of its entries
         over their common denominator D > 0, with D in the constant slot,
-        and a row holding a ``Fraction`` is taken times the lcm of its
-        denominators: each value is multiplied by a positive integer,
+        and each row is taken times the lcm of its denominators (1 for an
+        ``int`` row): each value is multiplied by a positive integer,
         which leaves every sign as it is, and is summed in integers.
-        ``int`` rows are used as they are.
         """
         [xs] = _int_rows([(*x, 1)])
 
         def values(rows):
-            return (_dot(_int_rows([r])[0] if Fraction in map(type, r)
-                         else r, xs) for r in rows)
+            return (_dot(r, xs) for r in _int_rows(rows))
         return (all(v > 0 for v in values(self.strict))
                 and all(v >= 0 for v in values(self.weak))
                 and all(v == 0 for v in values(self.eq)))
