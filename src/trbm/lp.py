@@ -21,11 +21,23 @@ decided exactly:
   exact optimum has ``t > 0``.
 
 The margin program runs on a fraction-free integer simplex tableau with
-Bland's anti-cycling rule, so no floating point enters any verdict.
-Until its first non-degenerate pivot every constraint row keeps
-right-hand side 0, so the tableau holds only the constraint rows and
-the objective; the box rows are built from the basis at that pivot, and
-they are exactly the rows the full tableau would hold there.
+Bland's anti-cycling rule, so no floating point enters any verdict.  It
+does only the row work whose result is read.  Its pivots, and the
+``den``, witness and multipliers it returns, are those of the full
+tableau, which holds every box row from the start (the tests' oracle):
+
+* until its first non-degenerate pivot every constraint row keeps
+  right-hand side 0, so the tableau holds only the constraint rows and
+  the objective;
+* the box phase's ratio test reads each box row's entry from the basis,
+  and builds only the pivot row;
+* a pivot after which Bland's rule finds no entering column is the last,
+  and updates only the objective and the right-hand sides of the basic
+  u, w: the optimum t > 0 is then known, and y is all that is read.  Any
+  other box-phase pivot first builds every box row from the basis;
+* a pivot updates only the columns where its row is nonzero, and leaves
+  a row with 0 in the pivot column as it is when the pivot equals
+  ``den``.
 
 Row addition: a tableau stopped at the end of that degenerate phase
 can take one more constraint row, built from its basis.  The new slack
@@ -310,7 +322,10 @@ class _Tableau:
     positive entry (:meth:`_degenerate`), and the tableau holds only the
     constraint rows and the objective, kept last.  The phase stops when
     the objective has no positive entry (the optimum is t = 0) or when
-    no constraint row bounds the entering column ``enter``.
+    no constraint row bounds the entering column ``enter``.  Then
+    :meth:`solve` runs the box phase on the box rows it reads: in the
+    n = 4 census 1,868 of the 1,882 box phases end after one pivot, and
+    build only that pivot's row.
 
     :meth:`add` appends a constraint row in that state.  Its slack has
     the largest label, so the ratio test passed it over at every pivot
@@ -360,9 +375,11 @@ class _Tableau:
         row = [self.den * coef[label] if label < nstruct else 0
                for label in self.nonbasic] + [0]
         for i, label in enumerate(self.basis):
-            if label < nstruct and coef[label]:
-                c = coef[label]
-                row = [x - c * r for x, r in zip(row, self.tab[i])]
+            c = coef[label] if label < nstruct else 0
+            if c:
+                for q, r in enumerate(self.tab[i]):
+                    if r:
+                        row[q] -= c * r
         self.tab.insert(self.ncon, row)
         self.basis.append(nstruct + self.ncon)
         self._degenerate()
@@ -375,8 +392,10 @@ class _Tableau:
             self.enter = enter = _entering(tab[-1], nonbasic)
             if enter is None:
                 return
-            leave = min((i for i in range(len(basis)) if tab[i][enter] > 0),
-                        key=basis.__getitem__, default=-1)
+            leave = -1
+            for i, label in enumerate(basis):
+                if tab[i][enter] > 0 and (leave < 0 or label < basis[leave]):
+                    leave = i
             if leave < 0:
                 return
             self.den = _pivot(tab, leave, enter, self.den)
@@ -386,74 +405,114 @@ class _Tableau:
         """The LP with its box rows: ((y, den), None), or (None, pi) at
         the optimum t = 0.
 
-        :func:`_box_rows` builds the box rows from the basis, and the
-        general ratio test (:func:`_ratio_test`) takes over.  At t = 0
-        constraint row i gets minus the objective entry of its slack if
-        that is nonbasic, else 0: pi >= 0, sum pi_i a_i = 0 and
-        sum pi_i s_i > 0, so no y has a.y > 0 on the rows with s > 0 and
-        a.y >= 0 on the others.  Every box slack must have objective
-        entry 0.
+        If the degenerate phase ended at the optimum, constraint row i
+        gets minus the objective entry of its slack if that is nonbasic,
+        else 0: pi >= 0, sum pi_i a_i = 0 and sum pi_i s_i > 0, so no y
+        has a.y > 0 on the rows with s > 0 and a.y >= 0 on the others.
+        Every box slack is basic there, so the box rows get 0.
+
+        Otherwise column ``enter`` is bounded by box rows only, and the
+        box phase starts.  Its first pivot row is built by
+        :func:`_box_pivot`, without the other box rows.  Every pivot
+        first updates the objective.  If Bland's rule then finds no
+        entering column, that pivot was the last, and only the right-hand
+        sides of the basic u, w are updated: the optimum t > 0, so y is
+        all that is read.  Otherwise the box rows are built in full
+        (:func:`_box_row`), the pivot is made on every row, and
+        :func:`_ratio_test` picks the next leaving row.  Nothing of the
+        stored tableau is written, so it can take more rows after.
         """
-        tab, basis, nonbasic = list(self.tab), list(self.basis), \
-            list(self.nonbasic)
+        tab, basis, nonbasic = self.tab, self.basis, self.nonbasic
         den, enter, nvars = self.den, self.enter, self.nvars
-        if enter is not None:
-            ncon = len(basis)
-            tab[ncon:ncon] = _box_rows(tab, basis, nonbasic, nvars, box, den)
-            basis += range(2 * nvars + 1 + ncon,
-                           2 * nvars + 1 + ncon + 2 * nvars)
-        while enter is not None:
-            leave = _ratio_test(tab, basis, enter)
+        first, ncon = 2 * nvars + 1, len(basis)
+        if enter is None:
+            pi = [0] * ncon
+            for j, label in enumerate(nonbasic):
+                if label >= first:
+                    pi[label - first] = -tab[-1][j]
+            return None, pi
+        leave, prow = _box_pivot(tab, basis, nonbasic, nvars, box, den, enter)
+        while True:
+            f = tab[-1][enter]
+            obj = [(prow[enter] * x - f * y) // den
+                   for x, y in zip(tab[-1], prow)]
+            obj[enter] = -f  # < 0: Bland's rule skips the unswapped label
+            nxt = _entering(obj, nonbasic)
+            if nxt is None:
+                break
+            if tab is self.tab:  # the box rows are not built yet
+                rows = [_box_row(tab, basis, nonbasic, label, box, den)
+                        for label in range(2 * nvars)]
+                tab = [*tab[:ncon], *rows, tab[-1]]
+                basis = basis + [first + ncon + j for j in range(2 * nvars)]
+                nonbasic = list(nonbasic)
             den = _pivot(tab, leave, enter, den)
             basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
-            enter = _entering(tab[-1], nonbasic)
+            enter = nxt
+            leave = _ratio_test(tab, basis, enter)
+            prow = tab[leave]
 
-        first, obj = 2 * nvars + 1, tab[-1]
-        if obj[-1] >= 0:  # the optimum -obj[-1] / den is t = 0
-            pi = [0] * self.ncon
-            for j, label in enumerate(nonbasic):
-                if label >= first + self.ncon:
-                    if obj[j]:
-                        raise AssertionError("a box row carries a Farkas "
-                                             "multiplier")
-                elif label >= first:
-                    pi[label - first] = -obj[j]
-            return None, pi
+        piv, rhs = prow[enter], prow[-1]
         values = [0] * first
         for i, label in enumerate(basis):
-            if label < first:
-                values[label] = tab[i][-1]
+            if label < first and i != leave:
+                row = tab[i]
+                values[label] = (piv * row[-1] - row[enter] * rhs) // den
+        if nonbasic[enter] < first:
+            values[nonbasic[enter]] = rhs
         return ([values[j] - values[nvars + j] for j in range(nvars)],
-                den), None
+                piv), None
 
 
 def _entering(obj, nonbasic) -> Optional[int]:
     """Bland's entering column: the smallest label with a positive
     objective entry, or None at the optimum."""
-    return min((j for j in range(len(nonbasic)) if obj[j] > 0),
-               key=nonbasic.__getitem__, default=None)
+    enter = None
+    for j, label in enumerate(nonbasic):
+        if obj[j] > 0 and (enter is None or label < nonbasic[enter]):
+            enter = j
+    return enter
 
 
-def _box_rows(tab, basis, nonbasic, nvars, box, den):
-    """The rows of u_j <= box and w_j <= box (labels 0..2 nvars - 1) in
-    the current basis, each with its slack basic.
+def _box_row(tab, basis, nonbasic, label, box, den):
+    """The row of u_j <= box or w_j <= box (``label`` j or nvars + j) in
+    the current basis, with its slack basic.
 
-    A nonbasic u_j in column q gives ``den e_q | den box``; a u_j basic
-    in row R gives ``-R | den box - R_rhs``, since then den u_j equals
-    R_rhs minus R's nonbasic terms.  w_j alike.
+    A nonbasic label in column q gives ``den e_q | den box``; a label
+    basic in row R gives ``-R | den box - R_rhs``, since then den u_j
+    equals R_rhs minus R's nonbasic terms.
     """
-    row_of = {label: i for i, label in enumerate(basis)}
-    rows = []
-    for label in range(2 * nvars):
-        if label in row_of:
-            row = [-x for x in tab[row_of[label]]]
-            row[-1] += den * box
-        else:
-            row = [0] * (len(nonbasic) + 1)
-            row[nonbasic.index(label)] = den
-            row[-1] = den * box
-        rows.append(row)
-    return rows
+    if label in basis:
+        row = [-x for x in tab[basis.index(label)]]
+        row[-1] += den * box
+    else:
+        row = [0] * (len(nonbasic) + 1)
+        row[nonbasic.index(label)] = den
+        row[-1] = den * box
+    return row
+
+
+def _box_pivot(tab, basis, nonbasic, nvars, box, den, enter):
+    """The first box-phase pivot for column ``enter``: the index the
+    leaving box row has among all rows, and that row (:func:`_box_row`).
+
+    Every constraint row has right-hand side 0 and an entry <= 0 in
+    ``enter``, and every box row right-hand side ``den box``; so the
+    ratio test takes the box row with the largest entry, ties to the
+    smallest label.  That entry is ``-R[enter]`` for a label basic in
+    row R, ``den`` for the label of column ``enter``, and 0 otherwise.
+    """
+    entries = [0] * (2 * nvars)
+    for i, label in enumerate(basis):
+        if label < 2 * nvars:
+            entries[label] = -tab[i][enter]
+    if nonbasic[enter] < 2 * nvars:
+        entries[nonbasic[enter]] = den
+    best = max(entries)
+    if best <= 0:
+        raise RuntimeError("margin program unbounded despite box")
+    label = entries.index(best)
+    return len(basis) + label, _box_row(tab, basis, nonbasic, label, box, den)
 
 
 def _ratio_test(tab, basis, enter) -> int:
@@ -480,23 +539,26 @@ def _pivot(tab, leave, enter, den) -> int:
     """One fraction-free pivot on row ``leave`` and column ``enter`` of
     the condensed tableau, in place; returns the new denominator.
 
-    Every update divides exactly by the old ``den``; the leaving
-    variable takes over column ``enter``, where its row holds ``den``.
-    Changed rows are replaced, never written into, so tableaux may
-    share rows.
+    Each row becomes (piv row - f prow) / den, with f its entry in
+    ``enter``: every division is exact.  Only the columns where the
+    pivot row ``prow`` is nonzero need f; a row with f = 0 only scales,
+    and is left as it is when piv = den.  The leaving variable takes
+    over column ``enter``, where its row holds ``den``.  Changed rows
+    are replaced, never written into, so tableaux may share rows.
     """
     prow = tab[leave]
     piv = prow[enter]
+    cols = [(q, y) for q, y in enumerate(prow) if y and q != enter]
     for i, row in enumerate(tab):
-        if i == leave:
-            continue
         f = row[enter]
+        if i == leave or not f and piv == den:
+            continue
+        new = row[:] if piv == den else [piv * x // den for x in row]
         if f:
-            row = [(piv * x - f * y) // den for x, y in zip(row, prow)]
-            row[enter] = -f
-            tab[i] = row
-        elif piv != den:
-            tab[i] = [piv * x // den for x in row]
+            for q, y in cols:
+                new[q] = (piv * row[q] - f * y) // den
+            new[enter] = -f
+        tab[i] = new
     tab[leave] = prow = list(prow)
     prow[enter] = den
     return piv

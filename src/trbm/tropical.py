@@ -253,6 +253,9 @@ def tropical_dimension(n: int, k: int, strategy: str = "exhaustive",
         raise ValueError(f"dim needs restarts >= 1, got restarts={restarts}")
     if strategy == "exhaustive":
         slicings = enumerate_slicings(n, allow_long=allow_long)
+        if k > len(slicings):
+            raise ValueError(f"exhaustive needs k <= {len(slicings)}, the "
+                             f"slicing count at n={n}, got k={k}")
         total = 1
         for i in range(k):
             total = total * (len(slicings) - i) // (i + 1)

@@ -458,6 +458,22 @@ def test_dim_greedy_random_unseeded_at_its_limit_runs(capsys):
     assert (code, out) == (0, "dim=1 max_rank=2 certified=True\n")
 
 
+@pytest.mark.parametrize("n, count, top", [("1", 4, "dim=1 max_rank=2"),
+                                            ("2", 14, "dim=3 max_rank=4"),
+                                            ("3", 104, "dim=7 max_rank=8")])
+def test_dim_exhaustive_k_at_and_above_the_slicing_count(n, count, top,
+                                                         capsys):
+    # k = count has one combination, all slicings; k = count + 1 has none
+    code, out, _ = run(capsys, "dim", "--n", n, "--k", str(count),
+                       "--strategy", "exhaustive")
+    assert (code, out) == (0, f"{top} certified=True\n")
+    code, out, err = run(capsys, "dim", "--n", n, "--k", str(count + 1),
+                         "--strategy", "exhaustive")
+    assert (code, out) == (2, "")
+    assert err == (f"error: exhaustive needs k <= {count}, the slicing "
+                   f"count at n={n}, got k={count + 1}\n")
+
+
 @pytest.mark.parametrize("value", ["1/0", "abc"])
 def test_member_point_file_non_rational_exits_2(value, tmp_path, capsys):
     point = tmp_path / "q.txt"

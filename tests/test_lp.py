@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction as Q
+from operator import mul
 from random import Random
 from unittest.mock import patch
 
@@ -391,10 +392,56 @@ def integer_systems(draw):
     return LinearSystem(m, tuple(strict), tuple(weak), tuple(eq))
 
 
+def split_rows(mask, n):
+    """The margin LP rows (a, 1) of the split of the n-cube whose
+    positive vertices are the set bits of ``mask``, in vertex order."""
+    return [((*(s * x for x in vertex_coords(v, n)), s), 1)
+            for v, s in ((v, 1 if mask >> v & 1 else -1)
+                         for v in all_vertices(n))]
+
+
+def seeded_splits(n, count, seed):
+    """``count`` masks of proper splits of the n-cube: every other one
+    cut by a hyperplane with integer weights and a half-integer offset
+    (a slicing), the rest uniform (almost never a slicing)."""
+    rng, full = Random(seed), (1 << (1 << n)) - 1
+    masks = []
+    while len(masks) < count:
+        if len(masks) % 2:
+            mask = rng.getrandbits(1 << n)
+        else:
+            omega = [rng.randint(-2 * n, 2 * n) for _ in range(n)]
+            c2 = 2 * rng.randint(-2 * n, 2 * n) + 1
+            mask = sum(1 << v for v in all_vertices(n)
+                       if 2 * sum(map(mul, omega, vertex_coords(v, n)))
+                       + c2 > 0)
+        if 0 < mask < full:
+            masks.append(mask)
+    return masks
+
+
+#: The 14 slicings of the 4-cube, of 1,882, whose margin LP over all 16
+#: vertex rows takes more than one box-phase pivot on the full tableau:
+#: the splits on which ``_Tableau.solve`` builds its box rows in full.
+MULTI_PIVOT_SLICINGS_4 = (0x077f, 0x0bbf, 0x0ddf, 0x31f7, 0x3f17, 0xa8fe,
+                          0xaf8e, 0xbbb2, 0xc0e8, 0xce08, 0xddd4, 0xf220,
+                          0xf440, 0xf880)
+
+
+def pivot_elements(full, got):
+    """The pivot elements of a solve: those of its full pivots
+    (``lp._pivot``), then the last box-phase pivot's, which updates only
+    the objective and the witness's right-hand sides.  The box phase
+    runs exactly when the LP is feasible, and its last pivot element is
+    the returned ``den``."""
+    return full + ([got[0][1]] if got[0] is not None else [])
+
+
 def test_margin_lp_matches_full_tableau_oracle():
     """``_margin_lp`` returns the oracle's witness or multipliers, through the
     oracle's pivots, on every LP that ``solve_feasibility`` runs for
-    random integer systems and on the separation LPs of n = 3 splits."""
+    random integer systems and on the separation LPs of n = 3 splits and
+    of seeded n = 4 splits (nvars = 5, as in the census)."""
     seen = Counter()
     margin_lp, pivot = lp._margin_lp, lp._pivot
 
@@ -410,7 +457,7 @@ def test_margin_lp_matches_full_tableau_oracle():
         assert got == full_tableau_margin_lp(rows, nvars, box, expected,
                                              seen)
         assert got[0] is not None or margin_farkas_oracle(got[1], rows)
-        assert pivots == expected
+        assert pivot_elements(pivots, got) == expected
         return got
 
     @settings(max_examples=600, derandomize=True, database=None,
@@ -424,15 +471,17 @@ def test_margin_lp_matches_full_tableau_oracle():
               deadline=None)
     @given(st.integers(1, 254))
     def check_split(mask):
-        rows = [((*(s * x for x in vertex_coords(v, 3)), s), 1)
-                for v, s in ((v, 1 if mask >> v & 1 else -1)
-                             for v in all_vertices(3))]
-        both(rows, 4, lp._box(4))
+        both(split_rows(mask, 3), 4, lp._box(4))
 
     check_system()
     check_split()
     for event in ("degenerate_end", "basic_box", "phase2_pivots", "box_tie",
                   "box_tie_decided"):
+        assert seen[event] > 0, (event, seen)
+    seen.clear()
+    for mask in seeded_splits(4, 120, 15) + list(MULTI_PIVOT_SLICINGS_4):
+        both(split_rows(mask, 4), 5, lp._box(5))
+    for event in ("degenerate_end", "basic_box", "phase2_pivots"):
         assert seen[event] > 0, (event, seen)
 
 
@@ -479,10 +528,10 @@ def test_added_rows_match_full_tableau_oracle():
                 kept, expected = len(pivots), []
                 got = tableau.solve(box)
                 assert got == full_tableau_margin_lp(rows[:i], nvars, box,
-                                                     expected)
+                                                     expected, seen)
                 assert got[0] is not None \
                     or margin_farkas_oracle(got[1], rows[:i])
-                assert pivots == expected
+                assert pivot_elements(pivots, got) == expected
                 del pivots[kept:]
 
     @settings(max_examples=400, derandomize=True, database=None,
@@ -495,13 +544,17 @@ def test_added_rows_match_full_tableau_oracle():
               deadline=None)
     @given(st.integers(1, 254), st.integers(0, 8))
     def check_split(mask, m):
-        rows = [((*(s * x for x in vertex_coords(v, 3)), s), 1)
-                for v, s in ((v, 1 if mask >> v & 1 else -1)
-                             for v in all_vertices(3))]
-        check(4, rows, m)
+        check(4, split_rows(mask, 3), m)
 
     check_rows()
     check_split()
     for event in ("add_stopped", "add_at_optimum", "add_with_den",
-                  "pivot_on_new_row"):
+                  "pivot_on_new_row", "phase2_pivots"):
+        assert seen[event] > 0, (event, seen)
+    seen.clear()
+    rng = Random(16)
+    for mask in seeded_splits(4, 24, 16) + list(MULTI_PIVOT_SLICINGS_4):
+        check(5, split_rows(mask, 4), rng.randint(0, 16))
+    for event in ("add_stopped", "add_at_optimum", "add_with_den",
+                  "pivot_on_new_row", "phase2_pivots"):
         assert seen[event] > 0, (event, seen)
