@@ -322,10 +322,8 @@ class _Tableau:
     positive entry (:meth:`_degenerate`), and the tableau holds only the
     constraint rows and the objective, kept last.  The phase stops when
     the objective has no positive entry (the optimum is t = 0) or when
-    no constraint row bounds the entering column ``enter``.  Then
-    :meth:`solve` runs the box phase on the box rows it reads: in the
-    n = 4 census 1,868 of the 1,882 box phases end after one pivot, and
-    build only that pivot's row.
+    no constraint row bounds the entering column ``enter``; the box
+    phase is :meth:`solve`'s.
 
     :meth:`add` appends a constraint row in that state.  Its slack has
     the largest label, so the ratio test passed it over at every pivot
@@ -411,16 +409,13 @@ class _Tableau:
         has a.y > 0 on the rows with s > 0 and a.y >= 0 on the others.
         Every box slack is basic there, so the box rows get 0.
 
-        Otherwise column ``enter`` is bounded by box rows only, and the
-        box phase starts.  Its first pivot row is built by
-        :func:`_box_pivot`, without the other box rows.  Every pivot
-        first updates the objective.  If Bland's rule then finds no
-        entering column, that pivot was the last, and only the right-hand
-        sides of the basic u, w are updated: the optimum t > 0, so y is
-        all that is read.  Otherwise the box rows are built in full
-        (:func:`_box_row`), the pivot is made on every row, and
-        :func:`_ratio_test` picks the next leaving row.  Nothing of the
-        stored tableau is written, so it can take more rows after.
+        Otherwise only box rows bound column ``enter``, and the box
+        phase starts at :func:`_box_pivot`.  Each pivot updates the
+        objective first; the last, after which Bland's rule finds no
+        entering column, updates nothing else but the right-hand sides
+        read for y.  Any other pivot is made on the whole tableau, with
+        its box rows built (:func:`_box_row`) before the first.  The
+        stored tableau is not written, so it can take more rows after.
         """
         tab, basis, nonbasic = self.tab, self.basis, self.nonbasic
         den, enter, nvars = self.den, self.enter, self.nvars
