@@ -448,12 +448,12 @@ class _Tableau:
             prow = tab[leave]
 
         piv, rhs = prow[enter], prow[-1]
-        values = [0] * first
+        values = [0] * (2 * nvars)  # den times u, w after the last pivot
         for i, label in enumerate(basis):
-            if label < first and i != leave:
+            if label < 2 * nvars and i != leave:
                 row = tab[i]
                 values[label] = (piv * row[-1] - row[enter] * rhs) // den
-        if nonbasic[enter] < first:
+        if nonbasic[enter] < 2 * nvars:
             values[nonbasic[enter]] = rhs
         return ([values[j] - values[nvars + j] for j in range(nvars)],
                 piv), None
