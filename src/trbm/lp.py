@@ -322,8 +322,9 @@ class _Tableau:
     positive entry (:meth:`_degenerate`), and the tableau holds only the
     constraint rows and the objective, kept last.  The phase stops when
     the objective has no positive entry (the optimum is t = 0) or when
-    no constraint row bounds the entering column ``enter``; the box
-    phase is :meth:`solve`'s.
+    no constraint row bounds the entering column ``enter``.  The box
+    phase is :meth:`solve`'s, and builds a box row only where a pivot
+    reads the whole row.
 
     :meth:`add` appends a constraint row in that state.  Its slack has
     the largest label, so the ratio test passed it over at every pivot
