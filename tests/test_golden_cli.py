@@ -1,8 +1,9 @@
 """Byte-identical CLI transcripts of commands that print exact elimination
 and feasibility results: certified dimensions with their witnesses, facet
 counts, homology ranks, membership witnesses, flattening ranks,
-covariances and the slicing witnesses of the arrangement census, and the
-text, ``--json`` and ``--out`` forms of every command that can write its
+covariances, the slicing witnesses of the arrangement census and the
+census counts under both strategies and two threads, and the text,
+``--json`` and ``--out`` forms of every command that can write its
 result to a file.
 
 ``golden_cli.json`` holds the stdout and exit code of each case, recorded
@@ -72,6 +73,11 @@ CASES = {
     "covariance": ["rbm", "covariance", "--dist", "{dist}"],
     "covariance_json": ["rbm", "covariance", "--dist", "{dist}", "--json"],
     "slicings_3": ["slicings", "--n", "3"],
+    "slicings_4_count_json": ["slicings", "--n", "4", "--count", "--json"],
+    "slicings_4_count_t2": ["slicings", "--n", "4", "--count",
+                            "--threads", "2"],
+    "slicings_3_count_brute_json": ["slicings", "--n", "3", "--count",
+                                    "--strategy", "brute", "--json"],
     "phi": ["phi", "--params", "{params}"],
     "phi_json": ["phi", "--params", "{params}", "--json"],
     "infer": ["infer", "--params", "{params}"],
