@@ -25,7 +25,7 @@ from .codes import (BOUNDS_LIMIT, covering_radius, exact_small_values,
                     table_known_bounds, code_to_slicings, varshamov_lower,
                     covering_upper, write_code)
 from .cube import (count_zonotope_facets, enumerate_slicings,
-                   write_slicings, write_vertex_values)
+                   slicing_count, write_slicings, write_vertex_values)
 from .rbmstats import (ExpParams, MixtureParams,
                        check_membership_necessary, covariance_matrix,
                        hadamard_product, joint_distribution,
@@ -108,13 +108,14 @@ def _trop_params(path: str) -> TropParams:
 
 
 def cmd_slicings(args) -> None:
-    slicings = enumerate_slicings(args.n, strategy=args.strategy,
-                                  allow_long=args.allow_long,
-                                  threads=args.threads)
-    doc = {"n": args.n, "strategy": args.strategy, "count": len(slicings)}
+    census = (args.n, args.strategy, args.allow_long, args.threads)
+    doc = {"n": args.n, "strategy": args.strategy}
     if args.count:
-        _emit(doc, args, str(len(slicings)))
+        count = slicing_count(*census)
+        _emit(dict(doc, count=count), args, str(count))
     else:
+        slicings = enumerate_slicings(*census)
+        doc["count"] = len(slicings)
         _emit(lambda: dict(doc, slicings=[
                   {"pos": format(s.mask, "x"), "c": str(s.c),
                    "omega": q_list(s.omega)} for s in slicings]),

@@ -13,7 +13,9 @@ is a linear threshold function.  Slicings carry an exact rational witness
 The arrangement census walks its tree of regions depth first: a region
 of the vertices 0..k-1 carries its margin LP, stopped at the end of the
 degenerate phase, and a split at vertex k copies it and adds one row
-(:func:`_split`).  Its subtrees share one worker pool.
+(:func:`_split`).  Its subtrees share one worker pool.  Its leaves are
+integer witnesses (mask, y, den), which a count only measures; a Slicing
+is built from a leaf when a caller first asks for the slicings.
 """
 
 from __future__ import annotations
@@ -301,8 +303,10 @@ def _enumerate_brute(n: int, threads: int) -> list[Slicing]:
 SUBTREES_PER_WORKER = 16
 
 
-def _enumerate_arrangement(n: int, threads: int) -> list[Slicing]:
-    """Slicings as regions of the arrangement of vertex hyperplanes.
+def _enumerate_arrangement(n: int,
+                           threads: int) -> list[tuple[int, list[int], int]]:
+    """Slicings as regions of the arrangement of vertex hyperplanes: the
+    leaves (mask, y, den) of positive vertex mask and witness y / den.
 
     Hyperplanes live in R^(n+1) with coordinates (omega, c); vertex v
     contributes the hyperplane omega.v + c = 0.  Inserting them in index
@@ -310,8 +314,8 @@ def _enumerate_arrangement(n: int, threads: int) -> list[Slicing]:
     k = 2^n are the slicings.  With more than one worker the top levels
     are expanded in-process until there are ``SUBTREES_PER_WORKER``
     subtrees per worker, and one :func:`parallel_map` call walks them
-    (:func:`_subtree`).  The leaves are sorted, so the output does not
-    depend on the thread count.
+    (:func:`_subtree`).  The leaves are sorted by (cardinality, mask), so
+    the output does not depend on the thread count.
     """
     regions = [(0, (0,) * (n + 1), 1, _Tableau(n + 1))]
     k = 0
@@ -321,13 +325,10 @@ def _enumerate_arrangement(n: int, threads: int) -> list[Slicing]:
         regions = [child for region in regions
                    for child in _children(n, k, region)]
         k += 1
-    slicings = []
-    for leaves in parallel_map(_subtree, [(n, k, r) for r in regions],
-                               threads):
-        for mask, y, den in leaves:
-            pos = frozenset(v for v in all_vertices(n) if mask >> v & 1)
-            slicings.append(_witnessed(n, pos, y, den))
-    return sorted(slicings, key=Slicing.sort_key)
+    leaves = [leaf for part in parallel_map(
+        _subtree, [(n, k, r) for r in regions], threads) for leaf in part]
+    leaves.sort(key=lambda leaf: (leaf[0].bit_count(), leaf[0]))
+    return leaves
 
 
 def _subtree(args) -> list[tuple[int, list[int], int]]:
@@ -394,16 +395,18 @@ def _split(n: int, k: int, pos: int, lp: _Tableau):
 
 
 @lru_cache(maxsize=None)
-def _census(n: int, strategy: str) -> list[Slicing]:
-    """The slot that holds the census of (n, strategy) once it is made;
-    the census is identical for any thread count, so one slot serves all."""
+def _census(n: int, strategy: str) -> list:
+    """The slot that holds the census of (n, strategy) once it is made, in
+    (cardinality, mask) order: the brute strategy's Slicings, or the
+    arrangement walk's leaves (mask, y, den) until
+    :func:`enumerate_slicings` replaces them in place by their Slicings.
+    The census is identical for any thread count, so one slot serves all."""
     return []
 
 
-def enumerate_slicings(n: int, strategy: str = "arrangement",
-                       allow_long: bool = False,
-                       threads: int = 1) -> list[Slicing]:
-    """All slicings of the n-cube in canonical (cardinality, mask) order."""
+def _filled_census(n: int, strategy: str, allow_long: bool,
+                   threads: int) -> list:
+    """The slot of (n, strategy), filled by its enumeration if empty."""
     if strategy not in ("brute", "arrangement"):
         raise ValueError(f"unknown strategy {strategy!r}")
     limit = SLICING_LIMIT_BRUTE if strategy == "brute" \
@@ -412,18 +415,38 @@ def enumerate_slicings(n: int, strategy: str = "arrangement",
         raise ValueError(f"n={n} outside supported range for {strategy}")
     if strategy == "arrangement" and n >= 5 and not allow_long:
         raise ValueError("n=5 enumeration is a long-running mode; "
-                         "enable allow_long")
+                         "run it with --allow-long")
     census = _census(n, strategy)
     if not census:
         enumerate_ = _enumerate_brute if strategy == "brute" \
             else _enumerate_arrangement
         census += enumerate_(n, threads)
+    return census
+
+
+def enumerate_slicings(n: int, strategy: str = "arrangement",
+                       allow_long: bool = False,
+                       threads: int = 1) -> list[Slicing]:
+    """All slicings of the n-cube in canonical (cardinality, mask) order.
+
+    The first call that asks for the arrangement census's slicings builds
+    each from its leaf and puts it in the leaf's place, so the slot holds
+    one form at a time; every witness is re-checked as its Slicing is
+    built.
+    """
+    census = _filled_census(n, strategy, allow_long, threads)
+    if not isinstance(census[-1], Slicing):
+        for i, (mask, y, den) in enumerate(census):
+            pos = frozenset(v for v in all_vertices(n) if mask >> v & 1)
+            census[i] = _witnessed(n, pos, y, den)
     return list(census)
 
 
 def slicing_count(n: int, strategy: str = "arrangement",
                   allow_long: bool = False, threads: int = 1) -> int:
-    return len(enumerate_slicings(n, strategy, allow_long, threads))
+    """The number of slicings of the n-cube, from the census in whichever
+    form it is held: a count builds no Slicing."""
+    return len(_filled_census(n, strategy, allow_long, threads))
 
 
 def count_zonotope_facets(n: int) -> int:

@@ -9,9 +9,9 @@ share one fraction-free elimination on integer rows (Bareiss 1968).
 the positive divisor that :func:`nullspace` divides by; no ``Fraction`` is
 formed until a kernel vector or a solution is returned as rationals.
 :func:`_int_rows` is the one place where rational rows become integer
-rows, each scaled by the lcm of its denominators.  Rational
-Gauss-Jordan (:func:`rref`) and fraction-free Bareiss rank
-(:func:`rank_bareiss`) share no code with it; they serve as its oracles.
+rows, each scaled by the lcm of its denominators.  Fraction-free
+Bareiss rank (:func:`rank_bareiss`) shares no code with it and serves as
+its oracle.
 :func:`rank_01` ranks 0/1 matrices held as bitset columns over GF(2)
 first and calls :func:`rank` only when that rank is not certified.
 """
@@ -71,41 +71,6 @@ class Matrix:
         return Matrix([[self.data[i][j] for i in range(self.rows)]
                        for j in range(self.cols)])
 
-    def mat_vec(self, v: Sequence) -> list[Fraction]:
-        vq = [_number(x) for x in v]
-        if len(vq) != self.cols:
-            raise ValueError("dimension mismatch")
-        return [sum((row[j] * vq[j] for j in range(self.cols)), Q(0))
-                for row in self.data]
-
-
-def rref(m: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
-
-    Rational Gauss-Jordan elimination, kept as the oracle of the integer
-    core behind :func:`rank`, :func:`nullspace` and :func:`solve`.
-    """
-    a = [[Q(x) for x in row] for row in m.data]
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [a[i][j] - f * a[r][j] for j in range(ncols)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a, pivots
-
 
 def _int_rows(data) -> list[list[int]]:
     """Each row times the lcm of its denominators: same row space, ints."""
@@ -120,9 +85,8 @@ def _eliminate(a: list[list[int]], ncols: int,
                jordan: bool) -> tuple[list[int], int]:
     """Fraction-free elimination of the integer rows ``a`` in place.
 
-    Returns the pivot columns and the last pivot ``d``.  Pivots are
-    chosen as in :func:`rref`: the first nonzero entry at or below the
-    current row, swapped up.  Every update ``(piv * x - f * y) // prev``
+    Returns the pivot columns and the last pivot ``d``.  Each pivot is
+    the first nonzero entry at or below the current row, swapped up.  Every update ``(piv * x - f * y) // prev``
     divides exactly, because each entry is a minor of the input
     (Sylvester's identity).  Without ``jordan`` only rows below each
     pivot are cleared, which suffices for the rank.  With ``jordan`` the

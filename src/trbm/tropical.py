@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence, TextIO
 from .codes import (HAMMING_LIMIT, ball_centers, ball_slicing,
                     hamming_code, shortened_hamming_code)
 from .cube import (Slicing, affine_values, all_vertices, enumerate_slicings,
-                   read_vertex_values, vertex_coords)
+                   read_vertex_values, slicing_count, vertex_coords)
 from .linalg import Matrix, _int_rows, integer_kernel, qtuple, rank_01
 from .lp import Farkas, LinearSystem, solve_feasibility
 from .parallel import parallel_map, workers
@@ -262,7 +262,7 @@ def tropical_dimension(n: int, k: int, strategy: str = "exhaustive",
         if total > EXHAUSTIVE_GUARD and not allow_long:
             raise ValueError(
                 f"{total} slicing tuples exceed the exhaustive guard; "
-                "enable allow_long")
+                "run it with --allow-long")
         max_rank, witness = _search_exhaustive(n, k, slicings, threads)
         certified = True
     elif strategy == "code_based":
@@ -517,7 +517,7 @@ def count_inference_functions(n: int, k: int) -> int:
     """Number of realizable explanation maps: (threshold count)^k."""
     if n > 4:
         raise ValueError("needs the slicing census; supported for n <= 4")
-    return len(enumerate_slicings(n)) ** k
+    return slicing_count(n) ** k
 
 
 def read_tropical_point(stream: TextIO) -> TropicalPoint:

@@ -7,6 +7,7 @@ from random import Random
 from typing import TextIO
 
 from trbm.cube import Slicing, all_vertices
+from trbm.linalg import Matrix
 from trbm.rbmstats import ExpParams, MixtureParams
 
 
@@ -50,3 +51,39 @@ def read_slicings(stream: TextIO) -> list[Slicing]:
         pos = frozenset(v for v in all_vertices(n) if mask >> v & 1)
         out.append(Slicing(n, pos, tuple(nums[1:]), nums[0]))
     return out
+
+
+def mat_vec(m: Matrix, v) -> list[Q]:
+    """The product of ``m`` and the vector ``v``, exactly."""
+    if len(v) != m.cols:
+        raise ValueError("dimension mismatch")
+    return [sum((x * y for x, y in zip(row, v)), Q(0)) for row in m.data]
+
+
+def rref(m: Matrix) -> tuple[list[list[Q]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Rational Gauss-Jordan elimination, which shares no code with the
+    integer core of ``trbm.linalg``: the oracle of ``rank``,
+    ``nullspace`` and ``solve``.
+    """
+    a = [[Q(x) for x in row] for row in m.data]
+    nrows, ncols = m.rows, m.cols
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        inv = a[r][c]
+        a[r] = [x / inv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [a[i][j] - f * a[r][j] for j in range(ncols)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots

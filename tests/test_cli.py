@@ -474,6 +474,18 @@ def test_dim_exhaustive_k_at_and_above_the_slicing_count(n, count, top,
                    f"count at n={n}, got k={count + 1}\n")
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["slicings", "--n", "5", "--count"],
+     "n=5 enumeration is a long-running mode"),
+    (["dim", "--n", "4", "--k", "2", "--strategy", "exhaustive"],
+     "1770021 slicing tuples exceed the exhaustive guard"),
+], ids=["slicings", "dim"])
+def test_long_modes_are_refused_naming_the_flag(argv, err, capsys):
+    code, out, stderr = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert stderr == f"error: {err}; run it with --allow-long\n"
+
+
 @pytest.mark.parametrize("value", ["1/0", "abc"])
 def test_member_point_file_non_rational_exits_2(value, tmp_path, capsys):
     point = tmp_path / "q.txt"

@@ -12,7 +12,7 @@ from trbm.cube import (Slicing, _enumerate_arrangement, _enumerate_brute,
                        _parallelogram, affine_values, all_vertices,
                        count_zonotope_facets,
                        cube_symmetries, enumerate_slicings, is_slicing,
-                       subset_mask, vertex_coords, vertex_index,
+                       slicing_count, subset_mask, vertex_coords, vertex_index,
                        write_slicings)
 from trbm.lp import LinearSystem, _Tableau, solve_feasibility
 from trbm.tropical import TropParams, tropical_morphism
@@ -122,15 +122,58 @@ def test_enumeration_guards():
 
 
 def test_threads_match_single():
-    # uncached runs, so that the threaded ones really start pools
-    for enumerate_, n in ((_enumerate_arrangement, 3),
-                          (_enumerate_arrangement, 4), (_enumerate_brute, 3)):
-        single = enumerate_(n, 1)
-        multi = enumerate_(n, 2)
-        assert [(s.mask, s.omega, s.c) for s in single] \
-            == [(s.mask, s.omega, s.c) for s in multi]
-        assert [s.mask for s in single] \
+    # uncached runs, so that the threaded ones really start pools; the
+    # arrangement's leaves (mask, y, den) must agree exactly
+    for n in (3, 4):
+        single = _enumerate_arrangement(n, 1)
+        assert single == _enumerate_arrangement(n, 2)
+        assert [mask for mask, _, _ in single] \
             == [s.mask for s in enumerate_slicings(n, threads=2)]
+    single = _enumerate_brute(3, 1)
+    assert [(s.mask, s.omega, s.c) for s in single] \
+        == [(s.mask, s.omega, s.c) for s in _enumerate_brute(3, 2)]
+
+
+@pytest.mark.parametrize("strategy, n, threads",
+                         [("arrangement", n, threads) for n in (1, 2, 3, 4)
+                          for threads in (1, 2)]
+                         + [("brute", n, 1) for n in (1, 2, 3)])
+def test_count_then_listing_is_the_listing(strategy, n, threads):
+    def listing():
+        return [(s.mask, s.omega, s.c)
+                for s in enumerate_slicings(n, strategy, threads=threads)]
+
+    cube._census.cache_clear()
+    alone = listing()
+    cube._census.cache_clear()
+    try:
+        assert slicing_count(n, strategy, threads=threads) == len(alone)
+        assert listing() == alone
+    finally:
+        cube._census.cache_clear()
+
+
+def test_count_builds_no_slicing(monkeypatch):
+    built = []
+    post_init = Slicing.__post_init__
+
+    def counted(self):
+        built.append(self.mask)
+        post_init(self)
+
+    monkeypatch.setattr(Slicing, "__post_init__", counted)
+    try:
+        for threads in (1, 2):
+            cube._census.cache_clear()
+            assert slicing_count(4, threads=threads) == 1882
+            assert built == []
+        listed = enumerate_slicings(4)
+        assert built == [s.mask for s in listed]
+        # the leaves were replaced in place: the slot holds one form
+        assert cube._census(4, "arrangement") == listed
+        assert slicing_count(4) == 1882 and len(built) == 1882
+    finally:
+        cube._census.cache_clear()
 
 
 def test_slicing_file_roundtrip():
@@ -370,10 +413,12 @@ def test_is_slicing_witnesses_are_those_of_solve_feasibility():
 
 def test_arrangement_witnesses_are_those_of_solve_feasibility(monkeypatch):
     # every split the census decides, refuted or solved, goes through
-    # _split; its witness must be that of the split's whole system
+    # _split; its witness must be that of the split's whole system, and
+    # each leaf (mask, y, den) must carry the witness of a split of its
+    # vertices 0..k and be the sign pattern of y at every vertex
     split = cube._split
     for n in (1, 2, 3):
-        found = set()
+        found = {}
 
         def checked(n_, k, pos, lp):
             result = split(n_, k, pos, lp)
@@ -381,10 +426,17 @@ def test_arrangement_witnesses_are_those_of_solve_feasibility(monkeypatch):
                 Q(v, result[1]) for v in result[0])
             side = (1 << (k + 1)) - 1
             assert witness == solve_feasibility(separation(pos, n, side))
-            found.add(witness)
+            if result is not None:
+                found.setdefault((tuple(result[0]), result[1]),
+                                 []).append((pos, side))
             return result
 
         monkeypatch.setattr(cube, "_split", checked)
         census = _enumerate_arrangement(n, 1)
         assert len(census) == (4, 14, 104)[n - 1]
-        assert {(*s.omega, s.c) for s in census} <= found
+        for mask, y, den in census:
+            assert any(mask & side == pos
+                       for pos, side in found[tuple(y), den])
+            margins = affine_values(y[n], y[:n])
+            assert 0 not in margins and mask == subset_mask(
+                v for v, m in enumerate(margins) if m > 0)

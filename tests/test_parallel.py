@@ -47,5 +47,4 @@ def test_census_starts_at_most_one_pool(monkeypatch):
     assert RecordingPool.seen == []
     multi = _enumerate_arrangement(4, 2)
     assert RecordingPool.seen == [2]
-    assert [(s.mask, s.omega, s.c) for s in single] \
-        == [(s.mask, s.omega, s.c) for s in multi]
+    assert single == multi
