@@ -14,8 +14,8 @@ The arrangement census walks its tree of regions depth first: a region
 of the vertices 0..k-1 carries its margin LP, stopped at the end of the
 degenerate phase, and a split at vertex k copies it and adds one row
 (:func:`_split`).  Its subtrees share one worker pool.  Its leaves are
-integer witnesses (mask, y, den), which a count only measures; a Slicing
-is built from a leaf when a caller first asks for the slicings.
+integer witnesses (mask, y, den): a count reads how many there are, and
+a Slicing is built from each leaf when a caller first asks for them.
 """
 
 from __future__ import annotations

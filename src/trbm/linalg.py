@@ -86,8 +86,9 @@ def _eliminate(a: list[list[int]], ncols: int,
     """Fraction-free elimination of the integer rows ``a`` in place.
 
     Returns the pivot columns and the last pivot ``d``.  Each pivot is
-    the first nonzero entry at or below the current row, swapped up.  Every update ``(piv * x - f * y) // prev``
-    divides exactly, because each entry is a minor of the input
+    the first nonzero entry at or below the current row, swapped up.
+    Every update ``(piv * x - f * y) // prev`` divides exactly, because
+    each entry is a minor of the input
     (Sylvester's identity).  Without ``jordan`` only rows below each
     pivot are cleared, which suffices for the rank.  With ``jordan`` the
     rows above are cleared too; then every pivot ends equal to ``d`` and

@@ -12,8 +12,8 @@ from trbm.cube import (Slicing, _enumerate_arrangement, _enumerate_brute,
                        _parallelogram, affine_values, all_vertices,
                        count_zonotope_facets,
                        cube_symmetries, enumerate_slicings, is_slicing,
-                       slicing_count, subset_mask, vertex_coords, vertex_index,
-                       write_slicings)
+                       slicing_count, subset_mask, vertex_coords,
+                       vertex_index, write_slicings)
 from trbm.lp import LinearSystem, _Tableau, solve_feasibility
 from trbm.tropical import TropParams, tropical_morphism
 
@@ -146,11 +146,8 @@ def test_count_then_listing_is_the_listing(strategy, n, threads):
     cube._census.cache_clear()
     alone = listing()
     cube._census.cache_clear()
-    try:
-        assert slicing_count(n, strategy, threads=threads) == len(alone)
-        assert listing() == alone
-    finally:
-        cube._census.cache_clear()
+    assert slicing_count(n, strategy, threads=threads) == len(alone)
+    assert listing() == alone
 
 
 def test_count_builds_no_slicing(monkeypatch):
@@ -162,18 +159,15 @@ def test_count_builds_no_slicing(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(Slicing, "__post_init__", counted)
-    try:
-        for threads in (1, 2):
-            cube._census.cache_clear()
-            assert slicing_count(4, threads=threads) == 1882
-            assert built == []
-        listed = enumerate_slicings(4)
-        assert built == [s.mask for s in listed]
-        # the leaves were replaced in place: the slot holds one form
-        assert cube._census(4, "arrangement") == listed
-        assert slicing_count(4) == 1882 and len(built) == 1882
-    finally:
+    for threads in (1, 2):
         cube._census.cache_clear()
+        assert slicing_count(4, threads=threads) == 1882
+        assert built == []
+    listed = enumerate_slicings(4)
+    assert built == [s.mask for s in listed]
+    # the leaves were replaced in place: the slot holds one form
+    assert cube._census(4, "arrangement") == listed
+    assert slicing_count(4) == 1882 and len(built) == 1882
 
 
 def test_slicing_file_roundtrip():
