@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from math import gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence, TextIO
 
@@ -453,28 +452,30 @@ def count_zonotope_facets(n: int) -> int:
     """Facets of the threshold-function zonotope in R^(n+1).
 
     Counts distinct linear hyperplanes spanned by n-subsets of the
-    generators (1, v); each contributes an antipodal facet pair.
+    generators (1, v); each contributes an antipodal facet pair.  Once
+    a subset's kernel is a line, the generators on its hyperplane are
+    found by substitution into the normal, and every n-subset of them is
+    skipped: each one spans the same hyperplane or is dependent.  So one
+    kernel is computed per hyperplane, plus one per dependent subset
+    that no hyperplane found so far contains.
     """
     if n < 1 or n > 4:
         raise ValueError("supported for 1 <= n <= 4")
     from itertools import combinations
     gens = [(1,) + vertex_coords(v, n) for v in all_vertices(n)]
-    normals = set()
-    for subset in combinations(gens, n):
+    hyperplanes = 0
+    done = set()
+    for subset in combinations(range(len(gens)), n):
+        if subset in done:
+            continue
         # n rows span a hyperplane exactly when their kernel is a line
-        kernel, _ = integer_kernel(Matrix(subset))
+        kernel, _ = integer_kernel(Matrix([gens[i] for i in subset]))
         if len(kernel) == 1:
-            normals.add(_primitive(kernel[0]))
-    return 2 * len(normals)
-
-
-def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
-    g = gcd(*ints)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x != 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+            hyperplanes += 1
+            on = [i for i, g in enumerate(gens)
+                  if not sum(map(mul, kernel[0], g))]
+            done.update(combinations(on, n))
+    return 2 * hyperplanes
 
 
 def cube_symmetries(n: int) -> list[tuple[int, ...]]:

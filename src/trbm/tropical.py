@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from operator import mul
 from random import Random
 from typing import NamedTuple, Optional, Sequence, TextIO
@@ -22,7 +23,8 @@ from .codes import (HAMMING_LIMIT, ball_centers, ball_slicing,
                     hamming_code, shortened_hamming_code)
 from .cube import (Slicing, affine_values, all_vertices, enumerate_slicings,
                    read_vertex_values, slicing_count, vertex_coords)
-from .linalg import Matrix, _int_rows, integer_kernel, qtuple, rank_01
+from .linalg import (Matrix, _int_rows, integer_kernel, qtuple, rank_01,
+                     rank_gf2)
 from .lp import Farkas, LinearSystem, solve_feasibility
 from .parallel import parallel_map, workers
 
@@ -191,20 +193,43 @@ def _rank_bound(n: int, k: int) -> int:
 
 
 def _slicing_rank(n: int, masks: Sequence[int]) -> int:
-    """Exact rank of the slicing matrix of ``masks``, by :func:`rank_01`.
+    """Exact rank of the slicing matrix of ``masks``.
 
     The block of slicing C is its mask and the mask restricted to each
-    coordinate column.  Columns are ranked block by block and A last:
-    the order leaves the rank unchanged, and blocks with disjoint
-    supports, as code balls are, eliminate without touching each other.
+    coordinate column, so it is supported on the rows of C.  All columns
+    are ranked over GF(2) first, blocks first and A last; the order
+    leaves the rank unchanged.  When that rank falls short of the shape
+    bound, every block of GF(2) rank |C| is taken out: it has rational
+    rank |C| as well (:func:`rank_01`), so it spans Q^C, and together
+    these blocks span Q^U for the union U of their supports, disjoint
+    or not.  The rank is |U| plus the rank of the other columns on the
+    rows outside U, by :func:`rank_01`.  A radius-1 ball is n + 1
+    affinely independent vertices, so code balls always reduce, which
+    leaves the n columns of A on the vertices no ball covers.
     """
+    nrows = 1 << n
     coords = _coordinate_columns(n)
-    columns = []
-    for mask in masks:
-        columns.append(mask)
-        columns.extend(mask & col for col in coords)
-    columns.extend(coords)
-    return rank_01(columns, 1 << n)
+    blocks = [[mask] + [mask & col for col in coords] for mask in masks]
+    columns = [col for block in blocks for col in block] + list(coords)
+    bound = min(nrows, len(columns))
+    if rank_gf2(columns, nrows) == bound:
+        return bound
+    covered, rest = 0, []
+    for mask, block in zip(masks, blocks):
+        if rank_gf2(block, nrows) == mask.bit_count():
+            covered |= mask
+        else:
+            rest.extend(block)
+    rest.extend(coords)
+    # bit v of a column is character nrows - 1 - v of its binary string
+    flags = format(covered, f"0{nrows}b")
+    keep = [i for i, bit in enumerate(flags) if bit == "0"]
+
+    def outside(col: int) -> int:
+        bits = format(col, f"0{nrows}b")
+        return int("0" + "".join([bits[i] for i in keep]), 2)
+
+    return covered.bit_count() + rank_01(list(map(outside, rest)), len(keep))
 
 
 @dataclass(frozen=True)
@@ -252,17 +277,16 @@ def tropical_dimension(n: int, k: int, strategy: str = "exhaustive",
     if restarts < 1:
         raise ValueError(f"dim needs restarts >= 1, got restarts={restarts}")
     if strategy == "exhaustive":
-        slicings = enumerate_slicings(n, allow_long=allow_long)
-        if k > len(slicings):
-            raise ValueError(f"exhaustive needs k <= {len(slicings)}, the "
+        count = slicing_count(n, allow_long=allow_long)
+        if k > count:
+            raise ValueError(f"exhaustive needs k <= {count}, the "
                              f"slicing count at n={n}, got k={k}")
-        total = 1
-        for i in range(k):
-            total = total * (len(slicings) - i) // (i + 1)
+        total = comb(count, k)
         if total > EXHAUSTIVE_GUARD and not allow_long:
             raise ValueError(
                 f"{total} slicing tuples exceed the exhaustive guard; "
                 "run it with --allow-long")
+        slicings = enumerate_slicings(n, allow_long=allow_long)
         max_rank, witness = _search_exhaustive(n, k, slicings, threads)
         certified = True
     elif strategy == "code_based":

@@ -15,7 +15,8 @@ from trbm.cube import (Slicing, _enumerate_arrangement, _enumerate_brute,
                        slicing_count, subset_mask, vertex_coords,
                        vertex_index, write_slicings)
 from trbm.lp import LinearSystem, _Tableau, solve_feasibility
-from trbm.tropical import TropParams, tropical_morphism
+from trbm.tropical import (TropParams, tropical_dimension,
+                           tropical_morphism)
 
 
 def test_vertex_indexing_is_lexicographic():
@@ -101,10 +102,23 @@ def test_invalid_witness_rejected():
         Slicing(2, frozenset({3}), (0, 0), 1)
 
 
-def test_zonotope_facets():
+def test_zonotope_facets(monkeypatch):
+    kernels = []
+    integer_kernel = cube.integer_kernel
+
+    def counted(m):
+        kernels.append(m)
+        return integer_kernel(m)
+
+    monkeypatch.setattr(cube, "integer_kernel", counted)
     assert count_zonotope_facets(1) == 4
     assert count_zonotope_facets(2) == 12
     assert count_zonotope_facets(3) == 40
+    kernels.clear()
+    assert count_zonotope_facets(4) == 280
+    # one kernel per hyperplane, plus one for the first subset, which is
+    # dependent; each of the C(16, 4) = 1,820 subsets had its own before
+    assert len(kernels) == 141
 
 
 def test_zonotope_guard():
@@ -163,6 +177,10 @@ def test_count_builds_no_slicing(monkeypatch):
         cube._census.cache_clear()
         assert slicing_count(4, threads=threads) == 1882
         assert built == []
+    # the exhaustive guard of dim reads the count too
+    with pytest.raises(ValueError, match="exceed the exhaustive guard"):
+        tropical_dimension(4, 2, "exhaustive")
+    assert built == []
     listed = enumerate_slicings(4)
     assert built == [s.mask for s in listed]
     # the leaves were replaced in place: the slot holds one form

@@ -1,12 +1,21 @@
+import json
+from itertools import combinations, count
+from random import Random
+
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import (example, given, seed, settings,  # noqa: E402
                         strategies as st)
 
-from trbm import linalg  # noqa: E402
+from trbm import linalg, tropical  # noqa: E402
+from trbm.cli import main  # noqa: E402
+from trbm.cube import (all_vertices, enumerate_slicings,  # noqa: E402
+                       vertex_coords)
 from trbm.linalg import (Matrix, rank, rank_01, rank_bareiss,  # noqa: E402
                          rank_gf2)
+from trbm.tropical import (_code_slicings, _slicing_rank,  # noqa: E402
+                           slicing_matrix)
 
 
 def gf2_rank_oracle(rows):
@@ -59,16 +68,17 @@ def test_certified_rank_agrees_with_oracles(rows):
 
 def test_certified_rank_falls_back_only_below_the_shape_bound(monkeypatch):
     calls = []
+    eliminate = linalg._eliminate
 
-    def counted(m):
-        calls.append(m)
-        return rank(m)
+    def counted(a, ncols, jordan):
+        calls.append([row[:] for row in a])
+        return eliminate(a, ncols, jordan)
 
-    monkeypatch.setattr(linalg, "rank", counted)
+    monkeypatch.setattr(linalg, "_eliminate", counted)
     odd = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]       # GF(2) rank 2, Q rank 3
     assert rank_gf2(bit_columns(odd, 3), 3) == 2
     assert rank_01(bit_columns(odd, 3), 3) == 3
-    assert calls == [Matrix(odd)]
+    assert calls == [odd]
     full = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
     assert rank_01(bit_columns(full, 3), 3) == 3
     assert rank_01([0b011, 0b101, 0b111, 0b001], 3) == 3
@@ -87,3 +97,76 @@ def test_gf2_rank_stops_at_the_shape_bound():
     columns = Counted([0b01, 0b10, 0b11, 0b01])
     assert rank_gf2(columns, 2) == 2 and Counted.reads == 2
     assert rank_gf2([], 4) == 0 and rank_gf2([0, 0], 3) == 0
+
+
+def _full_blocks(n, masks):
+    """The masks whose block (1, v) over v in C has GF(2) rank |C|."""
+    return [mask for mask in masks if gf2_rank_oracle(
+        [[1, *vertex_coords(v, n)] for v in all_vertices(n) if mask >> v & 1]
+    ) == bin(mask).count("1")]
+
+
+def _reduced_rows(monkeypatch):
+    """The row counts :func:`rank_01` sees from :func:`_slicing_rank`."""
+    seen = []
+
+    def counted(columns, nrows):
+        seen.append(nrows)
+        return rank_01(columns, nrows)
+
+    monkeypatch.setattr(tropical, "rank_01", counted)
+    return seen
+
+
+def test_block_reduced_rank_of_code_balls(monkeypatch):
+    seen = _reduced_rows(monkeypatch)
+    reduced = []
+    for n in range(2, 8):
+        for k in count(1):          # up to the code's ball count
+            try:
+                slicings = _code_slicings(n, k)
+            except ValueError:
+                break
+            masks = [s.mask for s in slicings]
+            m = slicing_matrix(n, slicings)
+            seen.clear()
+            assert _slicing_rank(n, masks) == rank(m) == rank_bareiss(m)
+            if seen:
+                # code balls are disjoint and each block is full
+                assert seen == [(1 << n) - bin(sum(masks)).count("1")]
+                reduced.append((n, k))
+    # the GF(2) rank of the whole matrix falls short only at these
+    assert reduced == [(5, 4), (6, 8)]
+
+
+@pytest.mark.parametrize("n, tuples", [(3, 400), (4, 150)])
+def test_block_reduced_rank_of_overlapping_census_masks(n, tuples,
+                                                        monkeypatch):
+    census = [s.mask for s in enumerate_slicings(n)]
+    seen = _reduced_rows(monkeypatch)
+    rng = Random(1700 + n)
+    overlapping_full = 0
+    for _ in range(tuples):
+        masks = rng.sample(census, rng.randint(2, 5))
+        if all(a & b == 0 for a, b in combinations(masks, 2)):
+            continue
+        m = Matrix(tropical._slicing_rows(n, masks))
+        seen.clear()
+        assert _slicing_rank(n, masks) == rank(m) == rank_bareiss(m)
+        full = _full_blocks(n, masks)
+        if seen and seen[0] < 1 << n and any(
+                a & b for a, b in combinations(full, 2)):
+            overlapping_full += 1
+    # some reduced ranks took out two full blocks that overlap: their
+    # rows count once
+    assert overlapping_full
+
+
+def test_dim_certifies_the_code_balls_at_n11(capsys):
+    # the GF(2) rank of the whole matrix is 1,546; the blocks of the 128
+    # balls reduce it to A on the 512 rows no ball covers
+    assert main(["dim", "--n", "11", "--k", "128", "--strategy",
+                 "code_based", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["max_rank"], doc["dim"], doc["certified"]) == (1547, 1547,
+                                                               True)
