@@ -13,8 +13,7 @@ rows, each scaled by the lcm of its denominators.  Fraction-free
 Bareiss rank (:func:`rank_bareiss`) shares no code with it and serves as
 its oracle.
 :func:`rank_01` ranks 0/1 matrices held as bitset columns over GF(2)
-first; only when that rank is not certified does it read the 0/1 rows
-off the bits and pass them straight to the elimination core.
+first and calls :func:`rank` only when that rank is not certified.
 """
 
 from __future__ import annotations
@@ -157,16 +156,14 @@ def rank_01(columns: Sequence[int], nrows: int) -> int:
 
     A minor that is odd is a nonzero integer, so the GF(2) rank is at
     most the rational rank.  When it reaches min(nrows, len(columns)) it
-    is therefore the exact rank; otherwise the 0/1 rows are read off the
-    bits and go straight to the integer core (:func:`_eliminate`), which
-    needs no scaling of them.
+    is therefore the exact rank; otherwise the rows are rebuilt from the
+    bits and ranked by the integer core.
     """
     certified = rank_gf2(columns, nrows)
     if certified == min(nrows, len(columns)):
         return certified
-    bits = [format(col, f"0{nrows}b")[::-1] for col in columns]
-    rows = [list(map(int, row)) for row in zip(*bits)]
-    return len(_eliminate(rows, len(columns), jordan=False)[0])
+    return rank(Matrix([[col >> i & 1 for col in columns]
+                        for i in range(nrows)]))
 
 
 def rank_bareiss(m: Matrix) -> int:

@@ -196,26 +196,20 @@ def _slicing_rank(n: int, masks: Sequence[int]) -> int:
     """Exact rank of the slicing matrix of ``masks``.
 
     The block of slicing C is its mask and the mask restricted to each
-    coordinate column, so it is supported on the rows of C.  All columns
-    are ranked over GF(2) first, blocks first and A last; the order
-    leaves the rank unchanged.  When that rank falls short of the shape
-    bound, every block of GF(2) rank |C| is taken out: it has rational
-    rank |C| as well (:func:`rank_01`), so it spans Q^C, and together
-    these blocks span Q^U for the union U of their supports, disjoint
-    or not.  The rank is |U| plus the rank of the other columns on the
-    rows outside U, by :func:`rank_01`.  A radius-1 ball is n + 1
-    affinely independent vertices, so code balls always reduce, which
-    leaves the n columns of A on the vertices no ball covers.
+    coordinate column, so it is supported on the rows of C.  Every block
+    of GF(2) rank |C| is taken out: it has rational rank |C| as well
+    (:func:`rank_01`), so it spans Q^C, and together these blocks span
+    Q^U for the union U of their supports, disjoint or not.  The rank is
+    |U| plus the rank of the other columns on the rows outside U, by
+    :func:`rank_01`.  A radius-1 ball is n + 1 affinely independent
+    vertices, so code balls always reduce, which leaves the n columns of
+    A on the vertices no ball covers.
     """
     nrows = 1 << n
     coords = _coordinate_columns(n)
-    blocks = [[mask] + [mask & col for col in coords] for mask in masks]
-    columns = [col for block in blocks for col in block] + list(coords)
-    bound = min(nrows, len(columns))
-    if rank_gf2(columns, nrows) == bound:
-        return bound
     covered, rest = 0, []
-    for mask, block in zip(masks, blocks):
+    for mask in masks:
+        block = [mask] + [mask & col for col in coords]
         if rank_gf2(block, nrows) == mask.bit_count():
             covered |= mask
         else:
