@@ -579,6 +579,20 @@ def test_homology_misshapen_complex_exits_2(doc, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("labels, faces_by_dim, printed", [
+    (["V0", "V1"], [[[0], [1]], []], "1\n"),  # an empty top dimension
+    ([], [], "\n")])
+def test_homology_of_small_complexes(labels, faces_by_dim, printed, tmp_path,
+                                     capsys):
+    complex_file = tmp_path / "c.json"
+    complex_file.write_text(json.dumps({
+        "vertices": [{"label": label} for label in labels],
+        "faces_by_dim": faces_by_dim}))
+    code, out, err = run(capsys, "fan", "homology", "--complex",
+                         str(complex_file))
+    assert (code, out, err) == (0, printed, "")
+
+
 @pytest.mark.parametrize("n", ["8", "40"])
 def test_minors_n_above_the_limit_exits_2(n, capsys):
     code, out, err = run(capsys, "tropvar", "minors", "--n", n,
