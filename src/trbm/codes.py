@@ -15,7 +15,7 @@ from itertools import combinations
 from math import ceil, floor, log2
 from typing import Optional, TextIO
 
-from .cube import Slicing, all_vertices, vertex_coords, vertex_weight
+from .cube import Slicing, all_vertices, subset_mask, vertex_coords
 
 Q = Fraction
 
@@ -26,6 +26,10 @@ COVERING_LIMIT = 20
 # the bounds are 2^n-sized integers: at n = 10,000 they print 3,011
 # digits, under the 4,300 that Python prints by default
 BOUNDS_LIMIT = 10_000
+# each ball's Slicing checks its 2^n margins: the 2,048 balls of length 15
+# that dim --strategy code_based builds (2^26 margins) take 5.5 s on a
+# 2-vCPU Xeon, and one ball of length 22 takes 0.46 s and 206 MB
+BALL_MARGINS_LIMIT = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -41,10 +45,6 @@ class BinaryCode:
 
     def sorted_words(self) -> list[int]:
         return sorted(self.words)
-
-
-def hamming_distance(a: int, b: int) -> int:
-    return (a ^ b).bit_count()
 
 
 def min_distance(code: BinaryCode) -> int:
@@ -129,19 +129,29 @@ def covering_upper(n: int) -> int:
 def code_to_slicings(code: BinaryCode) -> list[Slicing]:
     """One slicing per codeword, in sorted order: its radius-1 Hamming
     ball (:func:`ball_slicing`), for a code checked by
-    :func:`ball_centers`."""
+    :func:`ball_centers`; codes whose balls would list more than
+    ``BALL_MARGINS_LIMIT`` margins are refused first."""
+    margins = len(code.words) << code.n
+    if margins > BALL_MARGINS_LIMIT:
+        raise ValueError(f"ball slicings need |C| 2^n <= "
+                         f"{BALL_MARGINS_LIMIT}, got {margins} at "
+                         f"n={code.n}, |C|={len(code.words)}")
     return [ball_slicing(w, code.n) for w in ball_centers(code)]
 
 
 def ball_centers(code: BinaryCode) -> list[int]:
-    """The sorted codewords, once their radius-1 balls are disjoint.
-
-    Requires minimum distance >= 3 so the balls are pairwise disjoint;
-    a singleton code is allowed (disjointness is vacuous).
-    """
-    if len(code.words) > 1 and min_distance(code) < 3:
+    """The sorted codewords, once their radius-1 balls are pairwise
+    disjoint (minimum distance >= 3): each ball has n + 1 words, so the
+    balls are disjoint exactly when their union has |C| (n + 1)."""
+    union = {u for w in code.words for u in _ball(w, code.n)}
+    if len(union) < len(code.words) * (code.n + 1):
         raise ValueError("balls overlap: minimum distance below 3")
     return code.sorted_words()
+
+
+def _ball(w: int, n: int) -> list[int]:
+    """The words of the radius-1 Hamming ball around the word w."""
+    return [w] + [w ^ (1 << j) for j in range(n)]
 
 
 def ball_slicing(w: int, n: int) -> Slicing:
@@ -150,21 +160,20 @@ def ball_slicing(w: int, n: int) -> Slicing:
     The ball is cut off by omega_j = 2 w_j - 1 and c = 3/2 - weight(w),
     since then omega.v + c = 3/2 - d(v, w).
     """
-    ball = frozenset([w] + [w ^ (1 << j) for j in range(n)])
     omega = tuple(Q(2 * x - 1) for x in vertex_coords(w, n))
-    return Slicing(n, ball, omega, Q(3, 2) - vertex_weight(w))
+    return Slicing(n, frozenset(_ball(w, n)), omega, Q(3, 2) - w.bit_count())
 
 
 def exact_packing_size(n: int) -> int:
     """A2(n, 3) by clique search; the first codeword is fixed at zero."""
     if n < 3 or n > 5:
         raise ValueError("exhaustive packing supported for 3 <= n <= 5")
-    candidates = [w for w in all_vertices(n) if vertex_weight(w) >= 3]
+    candidates = [w for w in all_vertices(n) if w.bit_count() >= 3]
 
     def grow(chosen: list[int], pool: list[int]) -> int:
         best = len(chosen)
         for i, w in enumerate(pool):
-            rest = [u for u in pool[i + 1:] if hamming_distance(u, w) >= 3]
+            rest = [u for u in pool[i + 1:] if (u ^ w).bit_count() >= 3]
             best = max(best, grow(chosen + [w], rest))
         return best
 
@@ -176,12 +185,7 @@ def exact_covering_size(n: int) -> int:
     if n < 1 or n > 4:
         raise ValueError("exhaustive covering supported for 1 <= n <= 4")
     full = (1 << (1 << n)) - 1
-    balls = []
-    for w in all_vertices(n):
-        mask = 1 << w
-        for j in range(n):
-            mask |= 1 << (w ^ (1 << j))
-        balls.append(mask)
+    balls = [subset_mask(_ball(w, n)) for w in all_vertices(n)]
     for k in range(1, (1 << n) + 1):
         for centers in combinations(range(1 << n), k):
             cover = 0
@@ -299,8 +303,9 @@ def shortened_hamming_code(n: int) -> BinaryCode:
     """A distance-3 code of length n and size 2^(n - ceil(log2(n+1))).
 
     Shortens the next Hamming code: keep codewords vanishing on the last
-    coordinates, then drop those coordinates.  Realizes the packing lower
-    bound constructively.
+    coordinates, then drop those coordinates (none when n = 2^ell - 1,
+    which leaves the Hamming code).  Realizes the packing lower bound
+    constructively.
     """
     if n < 2:
         raise ValueError("length must be at least 2")

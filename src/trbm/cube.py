@@ -52,10 +52,6 @@ def vertex_index(coords: Sequence[int]) -> int:
     return idx
 
 
-def vertex_weight(v: int) -> int:
-    return bin(v).count("1")
-
-
 def all_vertices(n: int) -> range:
     return range(1 << n)
 
@@ -111,14 +107,6 @@ class Slicing:
     def mask(self) -> int:
         return subset_mask(self.positive)
 
-    def sort_key(self) -> tuple[int, int]:
-        return (len(self.positive), self.mask)
-
-    def complement(self) -> "Slicing":
-        comp = frozenset(all_vertices(self.n)) - self.positive
-        return Slicing(self.n, comp,
-                       tuple(-w for w in self.omega), -self.c)
-
 
 def is_slicing(subset: Iterable[int], n: int) -> Optional[Slicing]:
     """Exact separability test; returns a witnessed Slicing or None.
@@ -135,18 +123,21 @@ def is_slicing(subset: Iterable[int], n: int) -> Optional[Slicing]:
     positive = frozenset(subset)
     if not positive <= set(all_vertices(n)):
         raise ValueError("subset contains a non-vertex")
-    if not positive or len(positive) == 1 << n:
-        c = Q(1) if positive else Q(-1)
-        return Slicing(n, positive, tuple(Q(0) for _ in range(n)), c)
-    pos = subset_mask(positive)
-    if _refuted(pos, ((1 << (1 << n)) - 1) ^ pos, n):
+    witness = _separation(subset_mask(positive), n)
+    return None if witness is None else _witnessed(n, positive, *witness)
+
+
+def _separation(pos: int, n: int) -> Optional[tuple[Sequence[int], int]]:
+    """The integer witness (y, den) of :func:`is_slicing` for the vertex
+    mask ``pos``, or None when it is not a slicing."""
+    full = (1 << (1 << n)) - 1
+    if pos in (0, full):
+        return (0,) * n + (1 if pos else -1,), 1
+    if _refuted(pos, full ^ pos, n):
         return None
     rows = _signed_rows(n)
     strict = [rows[v][pos >> v & 1] for v in all_vertices(n)]
-    witness = _rechecked(_margin_lp(strict, n + 1, _box(n + 1)), strict)
-    if witness is None:
-        return None
-    return _witnessed(n, positive, *witness)
+    return _rechecked(_margin_lp(strict, n + 1, _box(n + 1)), strict)
 
 
 def _witnessed(n: int, positive: frozenset[int], y: Sequence[int],
@@ -267,34 +258,34 @@ def _refuted_through(pos: int, k: int, n: int) -> bool:
     return False
 
 
-def _brute_chunk(args) -> list[tuple[int, tuple, Fraction]]:
+def _brute_chunk(args) -> list[tuple[int, Sequence[int], int]]:
     n, start, stop = args
     full = (1 << (1 << n)) - 1
     found = []
     for mask in range(start, stop):
         if mask > (full ^ mask):
             continue  # complements are derived, not re-solved
-        subset = [v for v in all_vertices(n) if mask >> v & 1]
-        s = is_slicing(subset, n)
-        if s is not None:
-            found.append((mask, s.omega, s.c))
+        witness = _separation(mask, n)
+        if witness is not None:
+            found.append((mask, *witness))
     return found
 
 
-def _enumerate_brute(n: int, threads: int) -> list[Slicing]:
+def _enumerate_brute(n: int,
+                     threads: int) -> list[tuple[int, Sequence[int], int]]:
+    """The leaves (mask, y, den) of the vertex subsets that
+    :func:`_separation` separates, in (cardinality, mask) order; the
+    complement of a leaf's mask has the leaf (full ^ mask, -y, den)."""
     total = 1 << (1 << n)
     step = max(1, total // 256) if threads > 1 else total
     chunks = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    slicings: list[Slicing] = []
+    leaves = []
     for found in parallel_map(_brute_chunk, chunks, threads):
-        for mask, omega, c in found:
-            pos = frozenset(v for v in all_vertices(n) if mask >> v & 1)
-            s = Slicing(n, pos, omega, c)
-            slicings.append(s)
-            comp = s.complement()
-            if comp.mask != mask:
-                slicings.append(comp)
-    return sorted(slicings, key=Slicing.sort_key)
+        for mask, y, den in found:
+            leaves += [(mask, y, den),
+                       ((total - 1) ^ mask, [-x for x in y], den)]
+    leaves.sort(key=lambda leaf: (leaf[0].bit_count(), leaf[0]))
+    return leaves
 
 
 #: With --threads > 1 the census is cut into at least this many subtrees
@@ -396,8 +387,7 @@ def _split(n: int, k: int, pos: int, lp: _Tableau):
 @lru_cache(maxsize=None)
 def _census(n: int, strategy: str) -> list:
     """The slot that holds the census of (n, strategy) once it is made, in
-    (cardinality, mask) order: the brute strategy's Slicings, or the
-    arrangement walk's leaves (mask, y, den) until
+    (cardinality, mask) order: the leaves (mask, y, den) until
     :func:`enumerate_slicings` replaces them in place by their Slicings.
     The census is identical for any thread count, so one slot serves all."""
     return []
@@ -428,8 +418,8 @@ def enumerate_slicings(n: int, strategy: str = "arrangement",
                        threads: int = 1) -> list[Slicing]:
     """All slicings of the n-cube in canonical (cardinality, mask) order.
 
-    The first call that asks for the arrangement census's slicings builds
-    each from its leaf and puts it in the leaf's place, so the slot holds
+    The first call that asks for the census's slicings builds each from
+    its leaf and puts it in the leaf's place, so the slot holds
     one form at a time; every witness is re-checked as its Slicing is
     built.
     """

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cube import all_vertices, vertex_coords
 from .linalg import (Matrix, _eliminate, _int_rows, integer_kernel,
@@ -54,20 +54,11 @@ class Triangulation:
         return sorted(tuple(sorted(c)) for c in self.cells)
 
 
-def tet_volume_units(cell: Iterable[int]) -> int:
-    """Tetrahedron volume in units of 1/6 of the cube volume."""
-    vs = [vertex_coords(v, N) for v in cell]
-    rows = [[vs[i][j] - vs[0][j] for j in range(N)] for i in range(1, 4)]
-    det = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-           - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-           + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
-    return abs(det)
-
-
 @lru_cache(maxsize=None)
 def _lift_evaluators(n: int) -> tuple[tuple, ...]:
     """Integer minorant tests of the n-cube: ``(S, d, lambdas)`` for each
-    affine basis S, with ``lambdas[u]`` the numerators of vertex u.
+    affine basis S, in lexicographic order, with ``lambdas[u]`` the
+    numerators of vertex u.
 
     For each affinely independent (n + 1)-subset S, one Gauss-Jordan
     elimination of ``[M_S^T | all vertices]`` (M_S has the rows (s, 1))
@@ -75,7 +66,9 @@ def _lift_evaluators(n: int) -> tuple[tuple, ...]:
     lambda(u) with sum_i lambda_i(u) (s_i, 1) = d (u, 1).  The affine
     function through the lift on S then takes the value
     sum_i lambda_i(u) h(s_i) / d at u.  The sign of d is moved into the
-    numerators, so d > 0.  Each lambda(u) is checked by substitution.
+    numerators, so d > 0; it is the last fraction-free pivot, so
+    d = |det M_S|, n! times the volume of the simplex S.  Each lambda(u)
+    is checked by substitution.
     """
     points = [vertex_coords(v, n) + (1,) for v in all_vertices(n)]
     table = []
@@ -137,12 +130,6 @@ def refines(fine: frozenset[frozenset[int]],
     return all(any(c <= d for d in coarse) for c in fine)
 
 
-def _candidate_tets() -> list[frozenset[int]]:
-    tets = [frozenset(c) for c in combinations(CUBE, 4)
-            if tet_volume_units(c) > 0]
-    return sorted(tets, key=lambda t: tuple(sorted(t)))
-
-
 @lru_cache(maxsize=None)
 def _signed_circuits(n: int) -> tuple[tuple[int, int], ...]:
     """Signed circuits (Z+, Z-) of the n-cube's vertices, as vertex masks.
@@ -188,12 +175,13 @@ def _meet_properly(a: frozenset[int], b: frozenset[int]) -> bool:
 def enumerate_triangulations_3cube() -> tuple[Triangulation, ...]:
     """All triangulations of the 3-cube by exact backtracking.
 
-    Candidates are the 58 nondegenerate vertex tetrahedra; partial
-    selections stay pairwise face-to-face and stop exactly at full
-    volume.  Every result is verified regular downstream.
+    Candidates are the 58 affine bases of :func:`_lift_evaluators`, each
+    with its divisor d as its volume in units of 1/6; partial selections
+    stay pairwise face-to-face and stop exactly at full volume.  Every
+    result is verified regular downstream.
     """
-    tets = _candidate_tets()
-    volumes = [tet_volume_units(t) for t in tets]
+    tets = [frozenset(s) for s, _, _ in _lift_evaluators(N)]
+    volumes = [d for _, d, _ in _lift_evaluators(N)]
     m = len(tets)
     compat = [0] * m
     for i in range(m):
@@ -454,16 +442,13 @@ def reduced_homology_ranks(c: SimplicialComplexData) -> tuple[int, ...]:
         return ()
     counts = [len(c.faces_by_dim[d]) for d in range(dims)]
     boundary_ranks = []
-    for d in range(1, dims):
-        if not c.faces_by_dim[d]:
-            boundary_ranks.append(0)
-            continue
+    for d in range(1, dims):  # closure leaves no dimension below dims empty
         index = {f: i for i, f in enumerate(c.faces_by_dim[d - 1])}
-        rows = [[Q(0)] * counts[d] for _ in range(counts[d - 1])]
+        rows = [[0] * counts[d] for _ in range(counts[d - 1])]
         for col, face in enumerate(c.faces_by_dim[d]):
             for i in range(len(face)):
                 sub = face[:i] + face[i + 1:]
-                rows[index[sub]][col] = Q((-1) ** i)
+                rows[index[sub]][col] = (-1) ** i
         boundary_ranks.append(rank(Matrix(rows)))
     boundary_ranks.append(0)
     ranks = []

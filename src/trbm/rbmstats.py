@@ -247,6 +247,8 @@ def splits(n: int) -> list[tuple[int, ...]]:
 
 
 def max_flattening_rank(p: Distribution) -> int:
+    if p.n < 2:
+        raise ValueError(f"flattenings need n >= 2, got n={p.n}")
     if p.n > 6:
         raise ValueError("all splits enumerated; needs n <= 6")
     return max(rank(flattening(p, a)) for a in splits(p.n))

@@ -20,7 +20,7 @@ from random import Random
 from typing import NamedTuple, Optional, Sequence, TextIO
 
 from .codes import (HAMMING_LIMIT, ball_centers, ball_slicing,
-                    hamming_code, shortened_hamming_code)
+                    shortened_hamming_code)
 from .cube import (Slicing, affine_values, all_vertices, enumerate_slicings,
                    read_vertex_values, slicing_count, vertex_coords)
 from .linalg import (Matrix, _int_rows, integer_kernel, qtuple, rank_01,
@@ -338,11 +338,7 @@ def _code_slicings(n: int, k: int) -> tuple[Slicing, ...]:
     top = (1 << HAMMING_LIMIT) - 1
     if not 2 <= n <= top:
         raise ValueError(f"code_based needs 2 <= n <= {top}, got n={n}")
-    if n >= 3 and (n & (n + 1)) == 0:          # n = 2^ell - 1
-        code = hamming_code((n + 1).bit_length() - 1)
-    else:
-        code = shortened_hamming_code(n)
-    centers = ball_centers(code)
+    centers = ball_centers(shortened_hamming_code(n))
     if k > len(centers):
         raise ValueError(
             f"code of size {len(centers)} cannot seed k={k} slicings; "

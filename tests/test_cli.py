@@ -601,6 +601,27 @@ def test_minors_n_above_the_limit_exits_2(n, capsys):
     assert err == f"error: minors are listed for n <= 7, got n={n}\n"
 
 
+@pytest.mark.parametrize("values", [["1"], ["1/2", "1/2"]])
+def test_flatten_rank_below_two_coordinates_exits_2(values, tmp_path, capsys):
+    dist = tmp_path / "d.txt"
+    dist.write_text("\n".join(values) + "\n")
+    n = len(values) - 1
+    code, out, err = run(capsys, "rbm", "flatten-rank", "--dist", str(dist))
+    assert (code, out) == (2, "")
+    assert err == f"error: flattenings need n >= 2, got n={n}\n"
+
+
+def test_codes_to_slicings_above_the_margin_limit_exits_2(tmp_path, capsys):
+    # one ball of length 27 lists 2^27 margins: refused before it is built
+    code_file = tmp_path / "c.txt"
+    code_file.write_text(f"n=27\n{'0' * 27}\n")
+    code, out, err = run(capsys, "codes", "to-slicings", "--code",
+                         str(code_file))
+    assert (code, out) == (2, "")
+    assert err == (f"error: ball slicings need |C| 2^n <= {2 ** 26}, "
+                   f"got {2 ** 27} at n=27, |C|=1\n")
+
+
 @pytest.mark.parametrize("n", [21, 40])
 def test_codes_analyze_length_above_the_cap_exits_2(n, tmp_path, capsys):
     code_file = tmp_path / "c.txt"

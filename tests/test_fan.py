@@ -12,11 +12,29 @@ from trbm.fan import (CUBE, N, SimplicialComplexData,
                       model_fan, reduced_homology_ranks,
                       regular_subdivision_from_lift,
                       regularity_witness, secondary_fan_faces,
-                      secondary_sphere_fvector, tet_volume_units,
-                      tm13_subcomplex, complex_to_json, triangulation_lines)
+                      secondary_sphere_fvector, tm13_subcomplex,
+                      complex_to_json, triangulation_lines)
 from trbm.linalg import Matrix, qtuple, rank, solve
 from trbm.lp import LinearSystem, solve_feasibility
 from trbm.tropical import TropicalPoint, TropParams, tropical_morphism
+
+
+def tet_volume_units(cell) -> int:
+    """Oracle: tetrahedron volume in units of 1/6 of the cube volume, from
+    the 3 x 3 determinant of its edge vectors."""
+    vs = [vertex_coords(v, N) for v in cell]
+    rows = [[vs[i][j] - vs[0][j] for j in range(N)] for i in range(1, 4)]
+    det = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
+           - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
+           + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
+    return abs(det)
+
+
+def candidate_tets() -> list[frozenset[int]]:
+    """Oracle: the vertex tetrahedra of nonzero volume, in lexicographic
+    order."""
+    return [frozenset(c) for c in combinations(CUBE, 4)
+            if tet_volume_units(c) > 0]
 
 
 def rank_solve_subdivision(w, n=3):
@@ -251,6 +269,15 @@ def test_volume_units():
     assert tet_volume_units({1, 2, 4, 7}) == 2
 
 
+def test_affine_bases_are_the_tetrahedra_with_their_volumes():
+    # the triangulation search reads its candidates and their volumes
+    # off the affine-basis table
+    table = fan._lift_evaluators(N)
+    assert [frozenset(s) for s, _, _ in table] == candidate_tets()
+    assert len(table) == 58
+    assert all(d == tet_volume_units(s) for s, d, _ in table)
+
+
 def test_subdivision_matches_rank_solve_oracle_on_witnesses():
     for t in enumerate_triangulations_3cube():
         witness = regularity_witness(t)
@@ -299,8 +326,7 @@ def test_signed_circuits_of_the_cube():
 
 
 def test_circuit_criterion_matches_lp_oracle_on_all_pairs():
-    tets = fan._candidate_tets()
-    pairs = list(combinations(tets, 2))
+    pairs = list(combinations(candidate_tets(), 2))
     assert len(pairs) == 1653
     proper = 0
     for a, b in pairs:

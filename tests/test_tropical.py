@@ -278,6 +278,22 @@ def test_dimension_greedy_reaches_target():
     assert r.dim == 7 and r.certified
 
 
+def test_dimension_greedy_keeps_better_replacements(monkeypatch):
+    # k = 3 has no code seeds at n = 3, and at seed 2 the three random
+    # slicings drawn first rank below 8: only kept replacements reach it
+    drawn = []
+    draw = tropical._random_slicing
+
+    def counted(n, rng):
+        drawn.append(n)
+        return draw(n, rng)
+
+    monkeypatch.setattr(tropical, "_random_slicing", counted)
+    r = tropical_dimension(3, 3, "greedy_random", seed=2, restarts=1)
+    assert (r.max_rank, r.dim, r.certified) == (8, 7, True)
+    assert len(drawn) == 3 + 16  # the first tuple, then the replacements
+
+
 def test_dimension_guard():
     with pytest.raises(ValueError):
         tropical_dimension(4, 3)  # tuple count above the guard
