@@ -28,8 +28,12 @@ COVERING_LIMIT = 20
 BOUNDS_LIMIT = 10_000
 # each ball's Slicing checks its 2^n margins: the 2,048 balls of length 15
 # that dim --strategy code_based builds (2^26 margins) take 5.5 s on a
-# 2-vCPU Xeon, and one ball of length 22 takes 0.46 s and 206 MB
+# 2-vCPU Xeon, which bounds the output
 BALL_MARGINS_LIMIT = 1 << 26
+# one ball lists its 2^n margins at once: a one-word code of length 22
+# takes 0.56 s and 210 MB on a 2-vCPU Xeon, and each further bit doubles
+# both (length 23: 1.08 s, 398 MB)
+BALL_LENGTH_LIMIT = 22
 
 
 @dataclass(frozen=True)
@@ -130,12 +134,16 @@ def code_to_slicings(code: BinaryCode) -> list[Slicing]:
     """One slicing per codeword, in sorted order: its radius-1 Hamming
     ball (:func:`ball_slicing`), for a code checked by
     :func:`ball_centers`; codes whose balls would list more than
-    ``BALL_MARGINS_LIMIT`` margins are refused first."""
+    ``BALL_MARGINS_LIMIT`` margins, or longer than ``BALL_LENGTH_LIMIT``,
+    are refused first."""
     margins = len(code.words) << code.n
     if margins > BALL_MARGINS_LIMIT:
         raise ValueError(f"ball slicings need |C| 2^n <= "
                          f"{BALL_MARGINS_LIMIT}, got {margins} at "
                          f"n={code.n}, |C|={len(code.words)}")
+    if code.n > BALL_LENGTH_LIMIT:
+        raise ValueError(f"ball slicings need n <= {BALL_LENGTH_LIMIT}, "
+                         f"got n={code.n}")
     return [ball_slicing(w, code.n) for w in ball_centers(code)]
 
 

@@ -158,15 +158,15 @@ def _signed_circuits(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(circuits)
 
 
-def _meet_properly(a: frozenset[int], b: frozenset[int]) -> bool:
-    """conv(a) and conv(b) intersect exactly in the common face conv(a & b).
+def _meet_properly(am: int, bm: int) -> bool:
+    """conv(a) and conv(b) intersect exactly in the common face conv(a & b),
+    for the vertex sets a and b given as the masks ``am`` and ``bm``.
 
     For simplices a and b this fails exactly when some signed circuit has
     Z+ inside a and Z- inside b (De Loera, Rambau, Santos,
     *Triangulations*, 2010, ch. 4): its dependence, normalized, is a
     common point whose barycentric weights use a vertex outside a & b.
     """
-    am, bm = sum(1 << v for v in a), sum(1 << v for v in b)
     return not any(plus & am == plus and minus & bm == minus
                    for plus, minus in _signed_circuits(N))
 
@@ -182,14 +182,14 @@ def enumerate_triangulations_3cube() -> tuple[Triangulation, ...]:
     """
     tets = [frozenset(s) for s, _, _ in _lift_evaluators(N)]
     volumes = [d for _, d, _ in _lift_evaluators(N)]
+    vertex_bits = [sum(1 << v for v in t) for t in tets]
     m = len(tets)
     compat = [0] * m
     for i in range(m):
         for j in range(i + 1, m):
-            if _meet_properly(tets[i], tets[j]):
+            if _meet_properly(vertex_bits[i], vertex_bits[j]):
                 compat[i] |= 1 << j
                 compat[j] |= 1 << i
-    vertex_bits = [sum(1 << v for v in t) for t in tets]
     found: list[Triangulation] = []
 
     def extend(chosen: list[int], allowed: int, covered: int, volume: int):
@@ -289,9 +289,7 @@ def secondary_fan_faces() -> tuple[FanFace, ...]:
                 if not subset and sub.cells != t.cells:
                     raise AssertionError("fold inequalities disagree with "
                                          "the induced subdivision")
-                dim = (len(CUBE)
-                       - rank(Matrix([folds[j] for j in subset]))
-                       if subset else len(CUBE))
+                dim = len(CUBE) - rank(Matrix([folds[j] for j in subset]))
                 face = FanFace(sub.cells, dim - lineality, point)
                 prev = faces.get(sub.cells)
                 if prev is None:
@@ -305,13 +303,12 @@ def secondary_fan_faces() -> tuple[FanFace, ...]:
 
 
 def _face_point(folds, active) -> Optional[tuple[Fraction, ...]]:
+    # with every wall folded flat no strict row is left, and the solver
+    # returns the apex 0 of the lineality space
     active = set(active)
     eq = [folds[j] + (0,) for j in sorted(active)]
     strict = [folds[j] + (0,) for j in range(len(folds))
               if j not in active]
-    if not strict:
-        # every wall folded flat: the lineality space itself
-        return tuple(Q(0) for _ in CUBE)
     return solve_feasibility(
         LinearSystem.build(len(CUBE), strict=strict, eq=eq))
 

@@ -10,9 +10,11 @@ decided exactly:
 * every row is scaled to integers once (``linalg._int_rows``), and
   equality rows are eliminated on their integer kernel: with ``B, d =
   linalg.integer_kernel(eqs)`` the solutions are ``z = B y / d``, so the
-  other rows are projected onto ``B`` by integer dot products.  ``d`` is
-  positive (the last pivot's sign is moved into ``B``): the projected
-  rows are then positive multiples of the projections onto the rational
+  other rows are projected onto ``B`` by integer dot products.  A system
+  without equalities takes the kernel of one zero row, the identity with
+  ``d = 1``, so every system takes this one path.  ``d`` is positive
+  (the last pivot's sign is moved into ``B``): the projected rows are
+  then positive multiples of the projections onto the rational
   kernel basis, and Bland's rule takes the same pivots and returns the
   same witnesses, where a negated basis would walk the mirrored program;
 * the remaining strict rows are tested by maximizing a margin variable
@@ -52,10 +54,10 @@ are >= 0 and combine the constraint rows to zero with a positive
 coefficient of t; the box rows get 0, since the dual optimum, box times
 the sum of their multipliers, equals t* = 0.  :func:`solve_feasibility`
 maps them back to the system's rows: a row's multiplier times its
-integer scale, and on the equalities the free multipliers y of one
-exact solve, since the combination of the other rows vanishes on the
-kernel and so lies in the row space of the equalities.  Its early exits
-get certificates the same way (:class:`Farkas`).
+integer scale, and on the equalities the multipliers y of one
+:func:`linalg.solve`, since the combination of the other rows vanishes
+on the kernel and so lies in the row space of the equalities.  Its
+early exits get certificates the same way (:class:`Farkas`).
 
 Returned witnesses are re-checked by direct substitution before being
 handed back, and certificates the same way (:meth:`Farkas.refutes`).
@@ -72,7 +74,7 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .linalg import Matrix, _eliminate, _int_rows, _number, integer_kernel
+from .linalg import Matrix, _int_rows, _number, integer_kernel, solve
 
 Q = Fraction
 Scalar = Union[int, Fraction]
@@ -203,30 +205,26 @@ def solve_feasibility(sys: LinearSystem,
         if certificates is not None:
             certificates.append(cert)
 
-    if eqs:
-        # z = B y / d with the columns of B spanning the equalities' kernel
-        basis, d = integer_kernel(Matrix(eqs))
-        if not basis:
-            return refuted({0: 1})  # z = 0 is the only solution
-    else:
-        basis, d = None, 1
+    # z = B y / d with the columns of B spanning the equalities' kernel; a
+    # system without equalities takes the kernel of one zero row: B = I, d = 1
+    basis, d = integer_kernel(Matrix(eqs or [[0] * dim]))
+    if not basis:
+        return refuted({0: 1})  # z = 0 is the only solution
 
     rows, source = [], []
     for i, row in enumerate(scaled):
-        ra = _project(row[:-1], basis)
+        ra = [_dot(col, row) for col in basis]  # stops before t's column
         if any(ra):
             rows.append((ra, -row[-1]))
             source.append(i)
         elif row[-1]:
             return refuted({i: 1})  # a strict row vanishes on every solution
-    ncols = dim if basis is None else len(basis)
-    witness, pi = _margin_lp(rows, ncols, _box(m))
+    witness, pi = _margin_lp(rows, len(basis), _box(m))
     if witness is None:
         return refuted({source[i]: k for i, k in enumerate(pi) if k})
     y, den = witness
 
-    z = y if basis is None else [sum(col[i] * yj for col, yj in zip(basis, y))
-                                 for i in range(dim)]
+    z = [sum(col[i] * yj for col, yj in zip(basis, y)) for i in range(dim)]
     if homogeneous:
         x = tuple(Q(zi, d * den) for zi in z)
     else:
@@ -243,41 +241,29 @@ def _farkas(sys, strict, weak, eqs, scaled, pi) -> Farkas:
     ``weak``, whose combination vanishes on the kernel of ``eqs``.
 
     Row i of ``scaled`` is its row times s_i > 0, so it gets k s_i.  The
-    equalities get y with y.E = -(that combination), from one
-    fraction-free elimination: y is its right-hand side over the last
-    pivot d at the pivot columns and 0 elsewhere, and every multiplier is
-    taken times |d|.  The x0 row of a system with constants is dropped:
-    its multiplier is minus the certificate's constant.
+    equalities get y with y.E = -(that combination), from
+    :func:`linalg.solve` (free multipliers 0), and every multiplier is
+    taken times the lcm of y's denominators.  The x0 row of a system
+    with constants is dropped: its multiplier is minus the certificate's
+    constant.
     """
     combo = [0] * (len(scaled[0]) - 1)
     for i, k in pi.items():
         combo = [c + k * a for c, a in zip(combo, scaled[i])]
-    y, d = [0] * len(eqs), 1
-    if eqs:
-        a = _int_rows([*col, -c] for col, c in zip(zip(*eqs), combo))
-        pivots, d = _eliminate(a, len(eqs) + 1, jordan=True)
-        if len(eqs) in pivots:
-            raise AssertionError("Farkas multipliers do not vanish on the "
-                                 "kernel of the equalities")
-        sign, d = (1, d) if d > 0 else (-1, -d)
-        for r, col in enumerate(pivots):
-            y[col] = sign * a[r][-1]
+    y = solve(Matrix(eqs).transpose(), [-c for c in combo])
+    if y is None:
+        raise AssertionError("Farkas multipliers do not vanish on the "
+                             "kernel of the equalities")
+    scale = math.lcm(*(q.denominator for q in y))
     mults = [0] * len(scaled)
     for i, k in pi.items():
         row = strict[i] if i < len(strict) else weak[i - len(strict)]
-        mults[i] = k * d * math.lcm(*(x.denominator for x in row))
+        mults[i] = k * scale * math.lcm(*(x.denominator for x in row))
     cert = Farkas(tuple(mults[:len(sys.strict)]), tuple(mults[len(strict):]),
-                  tuple(y))
+                  tuple(q.numerator * (scale // q.denominator) for q in y))
     if not cert.refutes(sys):
         raise AssertionError("Farkas certificate failed re-validation")
     return cert
-
-
-def _project(row: list[int], basis: Optional[list[list[int]]]) -> list[int]:
-    """Coefficients of the integer row on the kernel basis, if any."""
-    if basis is None:
-        return row
-    return [sum(a * b for a, b in zip(row, col)) for col in basis]
 
 
 def _box(num_vars: int) -> int:

@@ -271,16 +271,8 @@ def covariance_matrix(p: Distribution) -> Matrix:
     """Exact covariances of the coordinate indicators."""
     n = p.n
     e = [marginal_one(p, i) for i in range(1, n + 1)]
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if i == j:
-                row.append(e[i - 1] * (1 - e[i - 1]))
-            else:
-                row.append(marginal_two(p, i, j) - e[i - 1] * e[j - 1])
-        rows.append(row)
-    return Matrix(rows)
+    return Matrix([[marginal_two(p, i, j) - e[i - 1] * e[j - 1]
+                    for j in range(1, n + 1)] for i in range(1, n + 1)])
 
 
 @dataclass(frozen=True)

@@ -622,6 +622,17 @@ def test_codes_to_slicings_above_the_margin_limit_exits_2(tmp_path, capsys):
                    f"got {2 ** 27} at n=27, |C|=1\n")
 
 
+def test_codes_to_slicings_above_the_length_limit_exits_2(tmp_path, capsys):
+    # one ball of length 23 lists 2^23 margins, within the margin limit,
+    # but would take about 400 MB: refused before it is built
+    code_file = tmp_path / "c.txt"
+    code_file.write_text(f"n=23\n{'0' * 23}\n")
+    code, out, err = run(capsys, "codes", "to-slicings", "--code",
+                         str(code_file))
+    assert (code, out) == (2, "")
+    assert err == "error: ball slicings need n <= 22, got n=23\n"
+
+
 @pytest.mark.parametrize("n", [21, 40])
 def test_codes_analyze_length_above_the_cap_exits_2(n, tmp_path, capsys):
     code_file = tmp_path / "c.txt"

@@ -330,8 +330,9 @@ def test_circuit_criterion_matches_lp_oracle_on_all_pairs():
     assert len(pairs) == 1653
     proper = 0
     for a, b in pairs:
-        meet = fan._meet_properly(a, b)
-        assert meet == fan._meet_properly(b, a) == lp_face_to_face(a, b)
+        am, bm = sum(1 << v for v in a), sum(1 << v for v in b)
+        meet = fan._meet_properly(am, bm)
+        assert meet == fan._meet_properly(bm, am) == lp_face_to_face(a, b)
         proper += meet
     assert 0 < proper < len(pairs)
 

@@ -276,6 +276,54 @@ def test_altered_certificate_is_not_accepted(sys_):
                     assert not farkas_oracle(sys_, bad)
 
 
+def test_zero_equality_row_changes_no_answer():
+    """A system without equalities projects onto the kernel of one zero
+    row, so adding the equality 0 = 0 gives the same witness, or the
+    same strict and weak multipliers with 0 on the new row."""
+    rng = Random(19)
+    seen = Counter()
+    for _ in range(200):
+        m = rng.randint(1, 4)
+        homogeneous = rng.random() < 0.5
+
+        def rows(most):
+            return [tuple(Q(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+                          for _ in range(m))
+                    + (0 if homogeneous else Q(rng.randint(-4, 4)),)
+                    for _ in range(rng.randint(0, most))]
+
+        strict, weak = rows(4), rows(3)
+        if not strict + weak:
+            continue
+        answers = []
+        for eq in ((), [(0,) * (m + 1)]):
+            sys_ = LinearSystem.build(m, strict, weak, eq)
+            certificates = []
+            answers.append((solve_feasibility(sys_, certificates),
+                            certificates))
+        (x, certs), (x0, certs0) = answers
+        assert x == x0
+        if x is None:
+            [cert], [cert0] = certs, certs0
+            assert (cert0.strict, cert0.weak, cert0.eq) \
+                == (cert.strict, cert.weak, (0,))
+        seen[x is None, homogeneous] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 4, seen
+
+
+@pytest.mark.parametrize("strict, weak, eq", [
+    ([(1, 0, 0), (0, 1, 0)], [], [(1, 1, 0)]),
+    ([], [(1, 0, 0), (0, 1, 0)], [(1, 1, 1)]),
+])
+def test_repeated_equality_row_gets_a_zero_multiplier(strict, weak, eq):
+    sys_ = LinearSystem.build(2, strict, weak, eq * 2)
+    certificates = []
+    assert solve_feasibility(sys_, certificates) is None
+    [cert] = certificates
+    assert cert.refutes(sys_) and farkas_oracle(sys_, cert)
+    assert cert.eq[0] != 0 and cert.eq[1] == 0
+
+
 def margin_farkas_oracle(pi, rows):
     """Margin LP multipliers, one per row (a, s): pi >= 0, the rows
     combine to sum pi_i a_i = 0 and sum pi_i s_i > 0."""
