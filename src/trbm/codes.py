@@ -42,6 +42,8 @@ class BinaryCode:
     words: frozenset[int]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"code length needs n >= 0, got n={self.n}")
         if not self.words:
             raise ValueError("code must be nonempty")
         if any(w < 0 or w >> self.n for w in self.words):

@@ -27,8 +27,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .cube import all_vertices, vertex_coords
-from .linalg import (Matrix, _eliminate, _int_rows, integer_kernel,
-                     qtuple, rank)
+from .linalg import Matrix, _eliminate, _int_rows, qtuple, rank
 from .lp import LinearSystem, solve_feasibility
 from .tropical import TropicalPoint, tropical_membership
 
@@ -132,30 +131,22 @@ def refines(fine: frozenset[frozenset[int]],
 
 @lru_cache(maxsize=None)
 def _signed_circuits(n: int) -> tuple[tuple[int, int], ...]:
-    """Signed circuits (Z+, Z-) of the n-cube's vertices, as vertex masks.
-
-    A vertex set of at most n + 2 points is a circuit when the integer
-    kernel of its columns (v, 1) is one vector with full support; its
-    signs give Z+ and Z-.  Each dependence sum lambda_v (v, 1) = 0 is
-    checked by substitution, and both orientations are listed.
+    """Signed circuits (Z+, Z-) of the n-cube's vertices as vertex masks,
+    both orientations, read off :func:`_lift_evaluators`: for an affine
+    basis S and a vertex u outside it, the checked Cramer numerators give
+    sum_i lambda_i(u) (s_i, 1) - d (u, 1) = 0 with d > 0, the one
+    dependence on S + u, whose support is a circuit: Z+ the s_i with
+    lambda_i > 0, Z- the s_i with lambda_i < 0 and u.  Every circuit Z
+    arises so: for u in Z the independent Z - u extends to a basis without u.
     """
-    points = [vertex_coords(v, n) + (1,) for v in all_vertices(n)]
-    circuits = []
-    for size in range(2, n + 3):
-        for subset in combinations(all_vertices(n), size):
-            kernel, _ = integer_kernel(Matrix(
-                [[points[v][i] for v in subset] for i in range(n + 1)]))
-            if len(kernel) != 1 or not all(kernel[0]):
-                continue
-            lam = kernel[0]
-            if any(sum(l * points[v][i] for l, v in zip(lam, subset))
-                   for i in range(n + 1)):
-                raise AssertionError(f"circuit {subset} failed "
-                                     "re-validation")
-            plus = sum(1 << v for l, v in zip(lam, subset) if l > 0)
-            minus = sum(1 << v for l, v in zip(lam, subset) if l < 0)
-            circuits += [(plus, minus), (minus, plus)]
-    return tuple(circuits)
+    circuits = set()
+    for subset, _, lams in _lift_evaluators(n):
+        for u, lam in enumerate(lams):
+            if u not in subset:
+                plus = sum(1 << s for li, s in zip(lam, subset) if li > 0)
+                minus = sum(1 << s for li, s in zip(lam, subset) if li < 0)
+                circuits |= {(plus, minus | 1 << u), (minus | 1 << u, plus)}
+    return tuple(sorted(circuits))
 
 
 def _meet_properly(am: int, bm: int) -> bool:

@@ -21,7 +21,7 @@ from .cube import all_vertices, read_vertex_values, vertex_coords
 
 Q = Fraction
 
-JOINT_LIMIT = 16  # n + k; the summed check adds 2^16 terms in about 5 s
+JOINT_LIMIT = 16  # n + k of a joint, n of a mixture: 2^16 terms take ~5 s
 
 
 @dataclass(frozen=True)
@@ -151,6 +151,9 @@ def _raw_visible_weights(params: ExpParams) -> list[Fraction]:
 
 
 def mixture_distribution(params: MixtureParams) -> Distribution:
+    if params.n > JOINT_LIMIT:
+        raise ValueError(f"a mixture lists 2^n values: n <= {JOINT_LIMIT} "
+                         f"is supported, got n={params.n}")
     values = []
     for v in all_vertices(params.n):
         coords = vertex_coords(v, params.n)

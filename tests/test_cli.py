@@ -98,6 +98,41 @@ def test_infer_tie_is_invalid_input(tmp_path, capsys):
     assert code == 2 and "argmax" in err
 
 
+def test_infer_tie_of_thirty_units_is_one_short_line(tmp_path, capsys):
+    # 2^30 best hidden states at each vertex: the message names the units
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(
+        {"W": [["0"]] * 30, "b": ["0"], "c": ["0"] * 30}))
+    code, out, err = run(capsys, "infer", "--params", str(params))
+    units = ", ".join(map(str, range(1, 31)))
+    assert (code, out) == (2, "")
+    assert err == (f"error: argmax not unique at v=0 (tied units {units}), "
+                   f"v=1 (tied units {units}); parameters lie on a cone "
+                   "boundary\n")
+
+
+@pytest.mark.parametrize("command", ["phi", "infer"])
+def test_tropical_map_above_the_visible_limit_exits_2(command, tmp_path,
+                                                      capsys):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(
+        {"W": [["1"] * 21], "b": ["0"] * 21, "c": ["1/2"]}))
+    code, out, err = run(capsys, command, "--params", str(params))
+    assert (code, out) == (2, "")
+    assert err == ("error: the tropical map lists 2^n values: n <= 20 is "
+                   "supported, got n=21\n")
+
+
+def test_rbm_mixture_above_the_joint_limit_exits_2(tmp_path, capsys):
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(
+        {"lambda": "1/3", "delta": ["1/2"] * 17, "epsilon": ["1/3"] * 17}))
+    code, out, err = run(capsys, "rbm", "mixture", "--params", str(params))
+    assert (code, out) == (2, "")
+    assert err == ("error: a mixture lists 2^n values: n <= 16 is "
+                   "supported, got n=17\n")
+
+
 def test_dim_json(capsys):
     doc = run_json(capsys, "dim", "dim", "--n", "3", "--k", "1")
     assert doc["dim"] == 7 and doc["max_rank"] == 7 and doc["certified"]
@@ -655,3 +690,95 @@ def test_codes_bounds_at_the_ends_of_its_range(capsys):
     assert doc["covering_upper"] == 1 and doc["varshamov_lower"] is None
     doc = run_json(capsys, "codes_bounds", "codes", "bounds", "--n", "10000")
     assert doc["covering_upper"] == 2 ** (10000 - 13)
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    pytest.param(["phi", "--params", "p.json"], {"p.json": "[1, 2]"},
+                 "params file p.json must hold a JSON object", id="phi-list"),
+    pytest.param(["infer", "--params", "p.json"], {"p.json": "3"},
+                 "params file p.json must hold a JSON object",
+                 id="infer-number"),
+    pytest.param(["phi", "--params", "p.json"],
+                 {"p.json": json.dumps({"W": [["1", "1"]], "b": ["0"],
+                                        "c": ["0"]})},
+                 "visible dimension mismatch", id="phi-visible"),
+    pytest.param(["infer", "--params", "p.json"],
+                 {"p.json": json.dumps({"W": [["1"]], "b": ["0"],
+                                        "c": ["0", "0"]})},
+                 "hidden dimension mismatch", id="infer-hidden"),
+    pytest.param(["rbm", "hadamard", "--dist", "d.txt"],
+                 {"d.txt": "1/4\n" * 4},
+                 "hadamard needs at least two --dist files",
+                 id="hadamard-one"),
+    pytest.param(["rbm", "hadamard", "--dist", "d.txt", "--dist", "e.txt"],
+                 {"d.txt": "1/4\n" * 4, "e.txt": "1/2\n" * 2},
+                 "dimension mismatch", id="hadamard-n"),
+    pytest.param(["rbm", "mixture", "--params", "p.json"],
+                 {"p.json": json.dumps({"lambda": "1", "delta": ["1/2"],
+                                        "epsilon": ["1/2"]})},
+                 "mixture parameters must lie strictly in (0,1)",
+                 id="mixture-range"),
+    pytest.param(["rbm", "mixture", "--params", "p.json"],
+                 {"p.json": json.dumps({"lambda": "1/2", "delta": ["1/2"],
+                                        "epsilon": ["1/2", "1/3"]})},
+                 "component length mismatch", id="mixture-lengths"),
+    pytest.param(["rbm", "joint", "--params", "p.json"],
+                 {"p.json": json.dumps({"beta": ["0"], "gamma": ["1"],
+                                        "omega": [["1"]]})},
+                 "parameters must be positive", id="joint-zero"),
+    pytest.param(["rbm", "flatten-rank", "--dist", "d.txt"],
+                 {"d.txt": "1/128\n" * 128},
+                 "all splits enumerated; needs n <= 6", id="flatten-n7"),
+    pytest.param(["tropvar", "minors", "--split", "1,2,3,4"], {},
+                 "split must be proper and nonempty", id="minors-split"),
+    pytest.param(["tropvar", "initial-form", "--n", "2", "--poly", "f.txt",
+                  "--weights", "w.txt"],
+                 {"f.txt": "1 * p_00^0\n", "w.txt": "0\n" * 4},
+                 "exponents must be positive", id="poly-power-0"),
+    pytest.param(["tropvar", "initial-form", "--n", "2", "--poly", "f.txt",
+                  "--weights", "w.txt"],
+                 {"f.txt": "1 * x_00\n", "w.txt": "0\n" * 4},
+                 "bad factor 'x_00'", id="poly-factor"),
+    pytest.param(["fan", "homology", "--complex", "c.json"],
+                 {"c.json": json.dumps({"vertices": [{"label": "V0"}],
+                                        "faces_by_dim": [[[0], [0]]]})},
+                 "duplicate face", id="complex-duplicate"),
+    pytest.param(["fan", "homology", "--complex", "c.json"],
+                 {"c.json": json.dumps({"vertices": [{"label": "V0"},
+                                                     {"label": "V1"}],
+                                        "faces_by_dim": [[[0, 1]]]})},
+                 "malformed face", id="complex-malformed"),
+    pytest.param(["codes", "hamming", "--ell", "1"], {},
+                 "ell must be at least 2", id="hamming-ell-1"),
+    pytest.param(["codes", "analyze", "--code", "c.txt"], {"c.txt": ""},
+                 "code file must start with n=<length>", id="code-empty"),
+    pytest.param(["codes", "analyze", "--code", "c.txt"], {"c.txt": "n=3\n"},
+                 "code must be nonempty", id="code-no-words"),
+    pytest.param(["codes", "analyze", "--code", "c.txt"],
+                 {"c.txt": "n=2\n101\n"},
+                 "codeword out of range", id="code-long-word"),
+    pytest.param(["codes", "analyze", "--code", "c.txt"],
+                 {"c.txt": "m=3\n000\n"},
+                 "code file must start with n=<length>", id="code-header"),
+    pytest.param(["codes", "to-slicings", "--code", "c.txt"],
+                 {"c.txt": "n=-1\n0\n"},
+                 "code length needs n >= 0, got n=-1", id="code-negative-n"),
+])
+def test_outside_input_is_refused_in_one_line(argv, files, message, tmp_path,
+                                              monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_initial_form_skips_blank_poly_lines(tmp_path, capsys):
+    weights = tmp_path / "w.txt"
+    weights.write_text("5\n0\n0\n1\n")
+    outputs = []
+    for text in ("1 * p_00\n1 * p_11\n", "\n1 * p_00\n\n  \n1 * p_11\n\n"):
+        poly = tmp_path / "f.txt"
+        poly.write_text(text)
+        outputs.append(run(capsys, "tropvar", "initial-form", "--n", "2",
+                           "--poly", str(poly), "--weights", str(weights)))
+    assert outputs[0] == outputs[1] == (0, "1 * p_00\n", "")

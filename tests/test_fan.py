@@ -14,7 +14,7 @@ from trbm.fan import (CUBE, N, SimplicialComplexData,
                       regularity_witness, secondary_fan_faces,
                       secondary_sphere_fvector, tm13_subcomplex,
                       complex_to_json, triangulation_lines)
-from trbm.linalg import Matrix, qtuple, rank, solve
+from trbm.linalg import Matrix, integer_kernel, qtuple, rank, solve
 from trbm.lp import LinearSystem, solve_feasibility
 from trbm.tropical import TropicalPoint, TropParams, tropical_morphism
 
@@ -57,6 +57,27 @@ def rank_solve_subdivision(w, n=3):
                                if values[v] == heights[v]))
     return frozenset(t for t in touching
                      if not any(t < other for other in touching))
+
+
+def kernel_signed_circuits(n):
+    """Oracle: the signed circuits of the n-cube from one integer kernel per
+    vertex subset of at most n + 2 points: a subset is a circuit when its
+    columns (v, 1) have a one-vector kernel with full support."""
+    points = [vertex_coords(v, n) + (1,) for v in all_vertices(n)]
+    circuits = set()
+    for size in range(2, n + 3):
+        for subset in combinations(all_vertices(n), size):
+            kernel, _ = integer_kernel(Matrix(
+                [[points[v][i] for v in subset] for i in range(n + 1)]))
+            if len(kernel) != 1 or not all(kernel[0]):
+                continue
+            lam = kernel[0]
+            assert not any(sum(li * points[v][i] for li, v in zip(lam, subset))
+                           for i in range(n + 1))
+            plus = sum(1 << v for li, v in zip(lam, subset) if li > 0)
+            minus = sum(1 << v for li, v in zip(lam, subset) if li < 0)
+            circuits |= {(plus, minus), (minus, plus)}
+    return circuits
 
 
 def lp_face_to_face(a, b):
@@ -325,6 +346,13 @@ def test_signed_circuits_of_the_cube():
     assert all((m, p) in circuits for p, m in circuits)
 
 
+@pytest.mark.parametrize("n, count", [(2, 2), (3, 40)])
+def test_signed_circuits_match_the_kernel_oracle(n, count):
+    circuits = fan._signed_circuits(n)
+    assert len(circuits) == len(set(circuits)) == count
+    assert set(circuits) == kernel_signed_circuits(n)
+
+
 def test_circuit_criterion_matches_lp_oracle_on_all_pairs():
     pairs = list(combinations(candidate_tets(), 2))
     assert len(pairs) == 1653
@@ -338,18 +366,23 @@ def test_circuit_criterion_matches_lp_oracle_on_all_pairs():
 
 
 def test_corrupted_circuit_fails_revalidation(monkeypatch):
-    real = fan.integer_kernel
+    # a circuit is read off a Cramer numerator, so a corrupted elimination
+    # is caught by the table's check before it can become a circuit
+    real = fan._eliminate
 
-    def corrupted(m):
-        basis, d = real(m)
-        return [[v[0] + 1] + v[1:] for v in basis], d
+    def corrupted(a, ncols, jordan):
+        result = real(a, ncols, jordan)
+        a[0][-1] += 1
+        return result
 
+    fan._lift_evaluators.cache_clear()
     fan._signed_circuits.cache_clear()
-    monkeypatch.setattr(fan, "integer_kernel", corrupted)
+    monkeypatch.setattr(fan, "_eliminate", corrupted)
     try:
-        with pytest.raises(AssertionError, match="circuit"):
+        with pytest.raises(AssertionError, match="Cramer"):
             fan._signed_circuits(3)
     finally:
+        fan._lift_evaluators.cache_clear()
         fan._signed_circuits.cache_clear()
 
 

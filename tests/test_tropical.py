@@ -141,8 +141,10 @@ def test_inference_tie_reports_states():
     p = TropParams.build([[1, 1]], [0, 0], [-1])
     with pytest.raises(AmbiguousArgmax) as info:
         inference_function(p)
-    assert sorted(v for v, _ in info.value.ties) == [0b01, 0b10]
-    assert all(hs == [0, 1] for _, hs in info.value.ties)
+    assert info.value.ties == [(0b01, [1]), (0b10, [1])]
+    assert str(info.value) == ("argmax not unique at v=01 (tied units 1), "
+                               "v=10 (tied units 1); parameters lie on a "
+                               "cone boundary")
 
 
 def test_inference_coordinates_are_threshold_functions():
