@@ -4,7 +4,8 @@ Matrices are dense and immutable in spirit: every operation returns fresh
 data and never mutates its input.  Scalars are ``int`` or
 ``fractions.Fraction``, so all ranks, kernels and solutions are exact.
 :func:`rank`, :func:`integer_kernel`, :func:`nullspace` and :func:`solve`
-share one fraction-free elimination on integer rows (Bareiss 1968).
+share one fraction-free elimination on integer rows (Bareiss 1968),
+which updates fresh rows in place and only where an entry can change.
 :func:`integer_kernel` returns its kernel basis in integers, together with
 the positive divisor that :func:`nullspace` divides by; no ``Fraction`` is
 formed until a kernel vector or a solution is returned as rationals.
@@ -94,6 +95,16 @@ def _eliminate(a: list[list[int]], ncols: int,
     rows above are cleared too; then every pivot ends equal to ``d`` and
     the first ``len(pivots)`` rows divided by ``d`` are exactly the
     reduced row echelon form.
+
+    Pivots are taken in the first ``ncols`` columns only; rows may be
+    wider, and the columns past ``ncols`` are carried along as
+    right-hand sides.  Each row is updated in place and only
+    where an entry can change: from the column after the pivot to the
+    row's full width, with the pivot column set to 0.  Left of the pivot
+    a row below is 0 and the pivot row too, so a row above is only
+    scaled there, and only when ``piv != prev``.  A row whose entry in
+    the pivot column is 0 is left alone when ``piv == prev``.  The rows
+    must therefore be distinct lists; every caller builds them fresh.
     """
     nrows = len(a)
     pivots: list[int] = []
@@ -108,15 +119,23 @@ def _eliminate(a: list[list[int]], ncols: int,
         a[r], a[p] = a[p], a[r]
         prow = a[r]
         piv = prow[c]
+        c1 = c + 1
+        tail = prow[c1:]
         for i in range(0 if jordan else r + 1, nrows):
             if i == r:
                 continue
             row = a[i]
             f = row[c]
             if f:
-                a[i] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
+                row[c] = 0
+                row[c1:] = [(piv * x - f * y) // prev
+                            for x, y in zip(row[c1:], tail)]
             elif piv != prev:
-                a[i] = [piv * x // prev for x in row]
+                row[c1:] = [piv * x // prev for x in row[c1:]]
+            else:
+                continue
+            if i < r and piv != prev:
+                row[:c] = [piv * x // prev for x in row[:c]]
         pivots.append(c)
         prev = piv
         r += 1
@@ -172,6 +191,12 @@ def rank_bareiss(m: Matrix) -> int:
     Rows are first scaled to integers (rank is invariant under row
     scaling), then eliminated keeping all intermediates integral.  This
     path shares no code with :func:`rank` and serves as its oracle.
+    When the pivot equals the previous one, an entry whose row has 0 in
+    the pivot column, or whose column has 0 in the pivot row, would
+    become ``(piv * x - 0) // prev = x``: that update is the identity,
+    so such rows and columns are skipped.  On 0/1 slicing matrices the
+    entries stay small and most updates are identities, so the cost is
+    interpreter work rather than bigint growth, and the skip saves it.
     """
     a = []
     for row in m.data:
@@ -185,12 +210,21 @@ def rank_bareiss(m: Matrix) -> int:
         if p is None:
             continue
         a[r], a[p] = a[p], a[r]
+        prow = a[r]
+        piv = prow[c]
+        cols = range(c + 1, ncols)
+        if piv == prev:
+            cols = [j for j in cols if prow[j]]
         for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
+            row = a[i]
+            f = row[c]
+            if f == 0 and piv == prev:
+                continue
+            for j in cols:
                 # exact integer division is guaranteed by the Bareiss identity
-                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
+                row[j] = (piv * row[j] - f * prow[j]) // prev
+            row[c] = 0
+        prev = piv
         r += 1
         if r == nrows:
             break

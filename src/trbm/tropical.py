@@ -39,9 +39,11 @@ GREEDY_LIMIT = 15
 # integer core when the GF(2) rank falls short: the slowest run this
 # allows, n = 6 at k = 9, takes 0.85 s, and n = 7 at k = 17 3.5-4.6 s
 GREEDY_UNSEEDED_ENTRIES = 1 << 14
-# phi and infer list all 2^n visible states: at k = 1, n = 20 takes 10.7 s
-# (phi) and 410 MB (infer) on a 2-vCPU Xeon, each further bit doubling both
-VISIBLE_LIMIT = 20
+# phi and infer list 2^n values per hidden unit (2^n for the visible bias
+# alone), so both cost max(k, 1) 2^n.  At 2^20 on a 2-vCPU Xeon: phi takes
+# 7.5 s at (n, k) = (20, 1), 4.8 s at (14, 64) and 4.3 s at (16, 16), and
+# (14, 40) 3.2 s; infer's peak RSS is 410 MB at n = 20 and 77 MB at (14, 64)
+TROPICAL_COST_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -60,9 +62,11 @@ class TropParams:
         if len(self.visible_bias) != self.n \
                 or any(len(row) != self.n for row in self.weights):
             raise ValueError("visible dimension mismatch")
-        if self.n > VISIBLE_LIMIT:
-            raise ValueError(f"the tropical map lists 2^n values: n <= "
-                             f"{VISIBLE_LIMIT} is supported, got n={self.n}")
+        if max(self.k, 1) << self.n > TROPICAL_COST_LIMIT:
+            raise ValueError(
+                "the tropical map lists 2^n values per hidden unit: "
+                f"max(k, 1) * 2^n <= 2^{TROPICAL_COST_LIMIT.bit_length() - 1} "
+                f"is supported, got n={self.n}, k={self.k}")
 
     @classmethod
     def build(cls, weights, visible_bias, hidden_bias) -> "TropParams":
@@ -114,13 +118,20 @@ def tropical_morphism(params: TropParams) -> TropicalPoint:
 
 class AmbiguousArgmax(ValueError):
     """Raised when some visible state v has tied best hidden states:
-    ``ties`` pairs v with its tied units i (from 1), W_i . v + c_i = 0."""
+    ``ties`` pairs v with its tied units i (from 1), W_i . v + c_i = 0.
+    The message names the first :attr:`NAMED` tied states and counts the
+    rest, so it stays one short line when up to 2^n states tie."""
+
+    NAMED = 8
 
     def __init__(self, ties: list[tuple[int, list[int]]], n: int):
         self.ties = ties
         states = ", ".join(
             f"v={v:0{n}b} (tied units {', '.join(map(str, units))})"
-            for v, units in ties)
+            for v, units in ties[:self.NAMED])
+        more = len(ties) - self.NAMED
+        if more > 0:
+            states += f" and {more} more"
         super().__init__(f"argmax not unique at {states}; "
                          "parameters lie on a cone boundary")
 

@@ -119,8 +119,41 @@ def test_tropical_map_above_the_visible_limit_exits_2(command, tmp_path,
         {"W": [["1"] * 21], "b": ["0"] * 21, "c": ["1/2"]}))
     code, out, err = run(capsys, command, "--params", str(params))
     assert (code, out) == (2, "")
-    assert err == ("error: the tropical map lists 2^n values: n <= 20 is "
-                   "supported, got n=21\n")
+    assert err == ("error: the tropical map lists 2^n values per hidden "
+                   "unit: max(k, 1) * 2^n <= 2^20 is supported, got n=21, "
+                   "k=1\n")
+
+
+@pytest.mark.parametrize("command", ["phi", "infer"])
+def test_tropical_map_above_the_cost_limit_exits_2(command, tmp_path, capsys,
+                                                   monkeypatch):
+    # n = 15 alone is small, but 40 hidden units make 40 * 2^15 > 2^20
+    # values; the refusal comes before any 2^n list is built
+    def no_listing(*args):
+        raise AssertionError("a 2^n list was built")
+
+    monkeypatch.setattr("trbm.tropical.affine_values", no_listing)
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(
+        {"W": [["1"] * 15] * 40, "b": ["0"] * 15, "c": ["1/2"] * 40}))
+    code, out, err = run(capsys, command, "--params", str(params))
+    assert (code, out) == (2, "")
+    assert err == ("error: the tropical map lists 2^n values per hidden "
+                   "unit: max(k, 1) * 2^n <= 2^20 is supported, got n=15, "
+                   "k=40\n")
+
+
+def test_infer_tie_at_every_vertex_is_one_short_line(tmp_path, capsys):
+    # all 2^12 vertices tie: the message names 8 of them and counts the rest
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(
+        {"W": [["0"] * 12], "b": ["0"] * 12, "c": ["0"]}))
+    code, out, err = run(capsys, "infer", "--params", str(params))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 1024
+    named = ", ".join(f"v={v:012b} (tied units 1)" for v in range(8))
+    assert err == (f"error: argmax not unique at {named} and 4088 more; "
+                   "parameters lie on a cone boundary\n")
 
 
 def test_rbm_mixture_above_the_joint_limit_exits_2(tmp_path, capsys):

@@ -1,8 +1,14 @@
+import io
+import json
+from contextlib import redirect_stdout
 from fractions import Fraction as Q
 from random import Random
 
-from helpers import mat_vec, rref
-from trbm.linalg import (Matrix, integer_kernel, nullspace, rank,
+import pytest
+
+from helpers import eliminate_full_rows, mat_vec, rref
+from trbm.cli import main
+from trbm.linalg import (Matrix, _eliminate, integer_kernel, nullspace, rank,
                          rank_bareiss, solve)
 from trbm.cube import all_vertices, vertex_coords
 from trbm.lp import LinearSystem
@@ -204,3 +210,90 @@ def test_linear_system_keeps_ints_and_converts_other_scalars():
     assert (sys_.strict, sys_.weak, sys_.eq) == (((1, 1, Q(1, 2)),),
                                                  ((0, Q(1, 2), Q(1, 2)),),
                                                  ((3, -2, 0),))
+
+
+def _random_int_rows(rng, nrows, ncols, width):
+    """Sparse small integers; sometimes a zero column among the first
+    ``ncols`` and a row that is a combination of two others."""
+    rows = [[rng.choice((0, 0, 0, 1, -1, 2, -2, 3, -5)) for _ in range(width)]
+            for _ in range(nrows)]
+    if rng.random() < 0.3:
+        j = rng.randrange(ncols)
+        for row in rows:
+            row[j] = 0
+    if nrows > 2 and rng.random() < 0.4:
+        i, k, t = rng.sample(range(nrows), 3)
+        rows[t] = [2 * x - y for x, y in zip(rows[i], rows[k])]
+    return rows
+
+
+def test_core_matches_full_row_oracle():
+    """The in-place core returns the pivots, last pivot and rows of the
+    full-row elimination it replaced, in both modes, every column past
+    ``ncols`` included."""
+    rng = Random(2107)
+    seen = {"wide": 0, "zero_column": 0, "deficient": 0, "negative": 0,
+            "non_unit": 0, "f0_scaled": 0}
+    for _ in range(1500):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        width = ncols + rng.choice((0, 0, 1, 3))
+        rows = _random_int_rows(rng, nrows, ncols, width)
+        for jordan in (False, True):
+            got = [list(row) for row in rows]
+            want = [list(row) for row in rows]
+            pivots, d = _eliminate(got, ncols, jordan)
+            assert (pivots, d) == eliminate_full_rows(want, ncols, jordan)
+            assert got == want
+        seen["wide"] += width > ncols
+        seen["zero_column"] += any(not any(row[j] for row in rows)
+                                   for j in range(ncols))
+        seen["deficient"] += len(pivots) < min(nrows, ncols)
+        seen["negative"] += d < 0
+        seen["non_unit"] += abs(d) > 1
+        # the first pivot is not 1 and some other row has 0 under it
+        c = next((j for j in range(ncols) if any(row[j] for row in rows)),
+                 None)
+        if c is not None:
+            p = next(i for i, row in enumerate(rows) if row[c])
+            seen["f0_scaled"] += rows[p][c] != 1 and any(
+                not row[c] for i, row in enumerate(rows) if i != p)
+    assert all(count >= 100 for count in seen.values()), seen
+
+
+@pytest.mark.parametrize("rows, d", [
+    # pivots 2 then det [[2, 1], [1, 0]] = -1; the third row is the sum
+    ([[2, 1, 3, 0], [1, 0, 1, 2], [3, 1, 4, 2]], -1),
+    # pivots -1 then det [[-1, 1], [1, -3]] = 2
+    ([[-1, 1, 0, 5], [1, -3, 4, 1]], 2),
+])
+def test_non_unit_and_negative_pivots_match_rref(rows, d):
+    m = Matrix(rows)
+    a, pivots = rref(m)
+    assert rank(m) == rank_bareiss(m) == len(pivots)
+    assert nullspace(m) == _oracle_nullspace(m)
+    rhs = [1, -2, 3][:m.rows]
+    assert solve(m, rhs) == _oracle_solve(m, rhs)
+    got = [list(row) for row in rows]
+    assert _eliminate(got, m.cols, jordan=True) == (pivots, d)
+    assert [[Q(x, d) for x in row] for row in got[:len(pivots)]] \
+        == a[:len(pivots)]
+
+
+@pytest.mark.parametrize("k, expected", [(15, 127), (16, 128)])
+def test_rank_of_the_code_based_dim_witnesses(k, expected):
+    """The (7, 15) and (7, 16) slicing matrices that the benchmark
+    re-ranks, built here from the witness masks of ``dim``."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["dim", "--n", "7", "--k", str(k), "--strategy",
+                     "code_based", "--json", "--threads", "1"]) == 0
+    masks = [int(h, 16) for h in json.loads(out.getvalue())["witness"]]
+    rows = []
+    for v in all_vertices(7):
+        x = list(vertex_coords(v, 7))
+        row = list(x)
+        for mask in masks:
+            row.extend([1] + x if mask >> v & 1 else [0] * 8)
+        rows.append(row)
+    m = Matrix(rows)
+    assert rank(m) == rank_bareiss(m) == expected

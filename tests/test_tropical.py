@@ -147,6 +147,27 @@ def test_inference_tie_reports_states():
                                "cone boundary")
 
 
+def test_inference_tie_names_at_most_eight_states():
+    for n, more in ((3, ""), (4, " and 8 more")):
+        p = TropParams.build([[0] * n], [0] * n, [0])
+        with pytest.raises(AmbiguousArgmax) as info:
+            inference_function(p)
+        assert len(info.value.ties) == 1 << n
+        named = ", ".join(f"v={v:0{n}b} (tied units 1)" for v in range(8))
+        assert str(info.value) == (f"argmax not unique at {named}{more}; "
+                                   "parameters lie on a cone boundary")
+
+
+def test_tropical_params_refuse_by_cost():
+    # max(k, 1) 2^n <= 2^20: n = 20 with one unit or none, n = 14 with up
+    # to 64 units, and no more
+    for n, k in ((20, 0), (20, 1), (14, 40), (14, 64), (16, 16)):
+        TropParams.build([[0] * n] * k, [0] * n, [0] * k)
+    for n, k in ((21, 0), (21, 1), (20, 2), (14, 65), (15, 40)):
+        with pytest.raises(ValueError, match=f"got n={n}, k={k}$"):
+            TropParams.build([[0] * n] * k, [0] * n, [0] * k)
+
+
 def test_inference_coordinates_are_threshold_functions():
     rng = Random(31)
     for _ in range(40):
