@@ -147,15 +147,14 @@ def test_inference_tie_reports_states():
                                "cone boundary")
 
 
-def test_inference_tie_names_at_most_eight_states():
-    for n, more in ((3, ""), (4, " and 8 more")):
-        p = TropParams.build([[0] * n], [0] * n, [0])
-        with pytest.raises(AmbiguousArgmax) as info:
-            inference_function(p)
-        assert len(info.value.ties) == 1 << n
-        named = ", ".join(f"v={v:0{n}b} (tied units 1)" for v in range(8))
-        assert str(info.value) == (f"argmax not unique at {named}{more}; "
-                                   "parameters lie on a cone boundary")
+def test_inference_tie_of_eight_states_names_them_all():
+    # 8 is the most the message names; more are counted (tests/test_cli.py)
+    p = TropParams.build([[0] * 3], [0] * 3, [0])
+    with pytest.raises(AmbiguousArgmax) as info:
+        inference_function(p)
+    named = ", ".join(f"v={v:03b} (tied units 1)" for v in range(8))
+    assert str(info.value) == (f"argmax not unique at {named}; "
+                               "parameters lie on a cone boundary")
 
 
 def test_tropical_params_refuse_by_cost():
