@@ -101,10 +101,11 @@ def _eliminate(a: list[list[int]], ncols: int,
     right-hand sides.  Each row is updated in place and only
     where an entry can change: from the column after the pivot to the
     row's full width, with the pivot column set to 0.  Left of the pivot
-    a row below is 0 and the pivot row too, so a row above is only
-    scaled there, and only when ``piv != prev``.  A row whose entry in
-    the pivot column is 0 is left alone when ``piv == prev``.  The rows
-    must therefore be distinct lists; every caller builds them fresh.
+    a row below is 0 and the pivot row too, so a row above changes there
+    only by the scale ``piv / prev``; when ``piv != prev`` it is updated
+    over its whole width.  A row whose entry in the pivot column is 0 is
+    left alone when ``piv == prev``.  The rows must therefore be
+    distinct lists; every caller builds them fresh.
     """
     nrows = len(a)
     pivots: list[int] = []
@@ -126,16 +127,14 @@ def _eliminate(a: list[list[int]], ncols: int,
                 continue
             row = a[i]
             f = row[c]
-            if f:
+            if i < r and piv != prev:
+                row[:] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
+            elif f:
                 row[c] = 0
                 row[c1:] = [(piv * x - f * y) // prev
                             for x, y in zip(row[c1:], tail)]
             elif piv != prev:
                 row[c1:] = [piv * x // prev for x in row[c1:]]
-            else:
-                continue
-            if i < r and piv != prev:
-                row[:c] = [piv * x // prev for x in row[:c]]
         pivots.append(c)
         prev = piv
         r += 1

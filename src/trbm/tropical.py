@@ -40,9 +40,9 @@ GREEDY_LIMIT = 15
 # allows, n = 6 at k = 9, takes 0.85 s, and n = 7 at k = 17 3.5-4.6 s
 GREEDY_UNSEEDED_ENTRIES = 1 << 14
 # phi and infer list 2^n values per hidden unit (2^n for the visible bias
-# alone), so both cost max(k, 1) 2^n.  At 2^20 on a 2-vCPU Xeon: phi takes
-# 7.5 s at (n, k) = (20, 1), 4.8 s at (14, 64) and 4.3 s at (16, 16), and
-# (14, 40) 3.2 s; infer's peak RSS is 410 MB at n = 20 and 77 MB at (14, 64)
+# alone), so both cost max(k, 1) 2^n.  At 2^20, on a 2-vCPU Xeon, phi takes
+# 7.5 s at (n, k) = (20, 1), 4.8 s at (14, 64) and 4.3 s at (16, 16) (3.2 s
+# at (14, 40)); infer peaks at 410 MB at n = 20 and 77 MB at (14, 64)
 TROPICAL_COST_LIMIT = 1 << 20
 
 
