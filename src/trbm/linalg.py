@@ -4,8 +4,7 @@ Matrices are dense and immutable in spirit: every operation returns fresh
 data and never mutates its input.  Scalars are ``int`` or
 ``fractions.Fraction``, so all ranks, kernels and solutions are exact.
 :func:`rank`, :func:`integer_kernel`, :func:`nullspace` and :func:`solve`
-share one fraction-free elimination on integer rows (Bareiss 1968),
-which updates fresh rows in place and only where an entry can change.
+share one fraction-free elimination on integer rows (Bareiss 1968).
 :func:`integer_kernel` returns its kernel basis in integers, together with
 the positive divisor that :func:`nullspace` divides by; no ``Fraction`` is
 formed until a kernel vector or a solution is returned as rationals.
@@ -95,17 +94,6 @@ def _eliminate(a: list[list[int]], ncols: int,
     rows above are cleared too; then every pivot ends equal to ``d`` and
     the first ``len(pivots)`` rows divided by ``d`` are exactly the
     reduced row echelon form.
-
-    Pivots are taken in the first ``ncols`` columns only; rows may be
-    wider, and the columns past ``ncols`` are carried along as
-    right-hand sides.  Each row is updated in place and only
-    where an entry can change: from the column after the pivot to the
-    row's full width, with the pivot column set to 0.  Left of the pivot
-    a row below is 0 and the pivot row too, so a row above changes there
-    only by the scale ``piv / prev``; when ``piv != prev`` it is updated
-    over its whole width.  A row whose entry in the pivot column is 0 is
-    left alone when ``piv == prev``.  The rows must therefore be
-    distinct lists; every caller builds them fresh.
     """
     nrows = len(a)
     pivots: list[int] = []
@@ -120,21 +108,15 @@ def _eliminate(a: list[list[int]], ncols: int,
         a[r], a[p] = a[p], a[r]
         prow = a[r]
         piv = prow[c]
-        c1 = c + 1
-        tail = prow[c1:]
         for i in range(0 if jordan else r + 1, nrows):
             if i == r:
                 continue
             row = a[i]
             f = row[c]
-            if i < r and piv != prev:
-                row[:] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
-            elif f:
-                row[c] = 0
-                row[c1:] = [(piv * x - f * y) // prev
-                            for x, y in zip(row[c1:], tail)]
+            if f:
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
             elif piv != prev:
-                row[c1:] = [piv * x // prev for x in row[c1:]]
+                a[i] = [piv * x // prev for x in row]
         pivots.append(c)
         prev = piv
         r += 1

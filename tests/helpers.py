@@ -87,38 +87,3 @@ def rref(m: Matrix) -> tuple[list[list[Q]], list[int]]:
         if r == nrows:
             break
     return a, pivots
-
-
-def eliminate_full_rows(a: list[list[int]], ncols: int,
-                        jordan: bool) -> tuple[list[int], int]:
-    """Fraction-free elimination that rebuilds every row over its whole
-    width at every pivot: the oracle of ``trbm.linalg._eliminate``,
-    which updates rows in place and only where an entry can change.
-    Same contract: ``a`` is eliminated in place and (pivots, d) returned.
-    """
-    nrows = len(a)
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = next((i for i in range(r, nrows) if a[i][c]), None)
-        if p is None:
-            continue
-        a[r], a[p] = a[p], a[r]
-        prow = a[r]
-        piv = prow[c]
-        for i in range(0 if jordan else r + 1, nrows):
-            if i == r:
-                continue
-            row = a[i]
-            f = row[c]
-            if f:
-                a[i] = [(piv * x - f * y) // prev for x, y in zip(row, prow)]
-            elif piv != prev:
-                a[i] = [piv * x // prev for x in row]
-        pivots.append(c)
-        prev = piv
-        r += 1
-    return pivots, prev

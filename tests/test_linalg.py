@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from helpers import eliminate_full_rows, mat_vec, rref
+from helpers import mat_vec, rref
 from trbm.cli import main
 from trbm.linalg import (Matrix, _eliminate, integer_kernel, nullspace, rank,
                          rank_bareiss, solve)
@@ -210,54 +210,6 @@ def test_linear_system_keeps_ints_and_converts_other_scalars():
     assert (sys_.strict, sys_.weak, sys_.eq) == (((1, 1, Q(1, 2)),),
                                                  ((0, Q(1, 2), Q(1, 2)),),
                                                  ((3, -2, 0),))
-
-
-def _random_int_rows(rng, nrows, ncols, width):
-    """Sparse small integers; sometimes a zero column among the first
-    ``ncols`` and a row that is a combination of two others."""
-    rows = [[rng.choice((0, 0, 0, 1, -1, 2, -2, 3, -5)) for _ in range(width)]
-            for _ in range(nrows)]
-    if rng.random() < 0.3:
-        j = rng.randrange(ncols)
-        for row in rows:
-            row[j] = 0
-    if nrows > 2 and rng.random() < 0.4:
-        i, k, t = rng.sample(range(nrows), 3)
-        rows[t] = [2 * x - y for x, y in zip(rows[i], rows[k])]
-    return rows
-
-
-def test_core_matches_full_row_oracle():
-    """The in-place core returns the pivots, last pivot and rows of the
-    full-row elimination it replaced, in both modes, every column past
-    ``ncols`` included."""
-    rng = Random(2107)
-    seen = {"wide": 0, "zero_column": 0, "deficient": 0, "negative": 0,
-            "non_unit": 0, "f0_scaled": 0}
-    for _ in range(1500):
-        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
-        width = ncols + rng.choice((0, 0, 1, 3))
-        rows = _random_int_rows(rng, nrows, ncols, width)
-        for jordan in (False, True):
-            got = [list(row) for row in rows]
-            want = [list(row) for row in rows]
-            pivots, d = _eliminate(got, ncols, jordan)
-            assert (pivots, d) == eliminate_full_rows(want, ncols, jordan)
-            assert got == want
-        seen["wide"] += width > ncols
-        seen["zero_column"] += any(not any(row[j] for row in rows)
-                                   for j in range(ncols))
-        seen["deficient"] += len(pivots) < min(nrows, ncols)
-        seen["negative"] += d < 0
-        seen["non_unit"] += abs(d) > 1
-        # the first pivot is not 1 and some other row has 0 under it
-        c = next((j for j in range(ncols) if any(row[j] for row in rows)),
-                 None)
-        if c is not None:
-            p = next(i for i, row in enumerate(rows) if row[c])
-            seen["f0_scaled"] += rows[p][c] != 1 and any(
-                not row[c] for i, row in enumerate(rows) if i != p)
-    assert all(count >= 100 for count in seen.values()), seen
 
 
 @pytest.mark.parametrize("rows, d", [
