@@ -73,6 +73,7 @@ CASES = {
     "covariance": ["rbm", "covariance", "--dist", "{dist}"],
     "covariance_json": ["rbm", "covariance", "--dist", "{dist}", "--json"],
     "slicings_3": ["slicings", "--n", "3"],
+    "slicings_3_json": ["slicings", "--n", "3", "--json"],
     "slicings_4_count_json": ["slicings", "--n", "4", "--count", "--json"],
     "slicings_4_count_t2": ["slicings", "--n", "4", "--count",
                             "--threads", "2"],
