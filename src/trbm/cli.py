@@ -117,8 +117,8 @@ def cmd_slicings(args) -> None:
         slicings = enumerate_slicings(*census)
         doc["count"] = len(slicings)
         _emit(lambda: dict(doc, slicings=[
-                  {"pos": format(s.mask, "x"), "c": str(s.c),
-                   "omega": q_list(s.omega)} for s in slicings]),
+                  {"pos": format(s.mask, "x"), "c": c, "omega": omega}
+                  for s in slicings for c, *omega in [s.witness_text()]]),
               args, partial(write_slicings, slicings))
 
 
@@ -136,10 +136,11 @@ def cmd_phi(args) -> None:
 def cmd_infer(args) -> None:
     params = _trop_params(args.params)
     mapping = inference_function(params)
-    pairs = [(format(v, f"0{params.n}b"), format(h, f"0{params.k}b"))
-             for v, h in sorted(mapping.items())]
-    _emit({"n": params.n, "k": params.k, "map": dict(pairs)}, args,
-          "\n".join(f"{v} -> {h}" for v, h in pairs))
+    vs, hs = f"0{params.n}b", f"0{params.k}b"  # the formats of v and h
+    _emit(lambda: {"n": params.n, "k": params.k, "map": {
+              format(v, vs): format(h, hs) for v, h in mapping.items()}},
+          args, lambda out: out.writelines(  # one line at a time
+              f"{v:{vs}} -> {h:{hs}}\n" for v, h in mapping.items()))
 
 
 def cmd_dim(args) -> None:

@@ -10,14 +10,11 @@ smallest code whose radius-1 balls cover all strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from math import ceil, floor, log2
 from typing import Optional, TextIO
 
 from .cube import Slicing, all_vertices, subset_mask, vertex_coords
-
-Q = Fraction
 
 HAMMING_LIMIT = 4  # ell = 5 would list 2^26 codewords
 # the covering radius visits all 2^n words: n = 20 takes 3.6 s on a
@@ -168,10 +165,11 @@ def ball_slicing(w: int, n: int) -> Slicing:
     """The radius-1 Hamming ball around the word w of length n.
 
     The ball is cut off by omega_j = 2 w_j - 1 and c = 3/2 - weight(w),
-    since then omega.v + c = 3/2 - d(v, w).
+    since then omega.v + c = 3/2 - d(v, w); the witness is held as
+    (2 omega, 2 c) over 2.
     """
-    omega = tuple(Q(2 * x - 1) for x in vertex_coords(w, n))
-    return Slicing(n, frozenset(_ball(w, n)), omega, Q(3, 2) - w.bit_count())
+    y = [4 * x - 2 for x in vertex_coords(w, n)] + [3 - 2 * w.bit_count()]
+    return Slicing(n, subset_mask(_ball(w, n)), y, 2)
 
 
 def exact_packing_size(n: int) -> int:

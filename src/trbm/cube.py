@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import permutations, product
+from functools import cached_property, lru_cache
+from itertools import combinations, permutations, product
+from math import gcd
 from operator import mul
 from typing import Iterable, Optional, Sequence, TextIO
 
-from .linalg import Matrix, _int_rows, integer_kernel
+from .linalg import Matrix, integer_kernel
 from .lp import Farkas, LinearSystem, _box, _margin_lp, _Tableau
 # slicing queries call the margin LP directly; solve_feasibility stays
 # bound here, where the span tracer of perfbench/ looks it up
@@ -78,34 +79,56 @@ def affine_values(const, weights: Sequence) -> list:
 
 @dataclass(frozen=True)
 class Slicing:
-    """A separable vertex subset with an exact separating witness."""
+    """The vertex set ``mask`` with the separating witness omega =
+    y[:n] / den, c = y[n] / den: integers, den > 0, divided by their gcd
+    so that equal witnesses have equal fields.  The check is in integers:
+    the margins y[n] + sum(y[j] for the set bits) have the signs of
+    omega . v + c."""
 
     n: int
-    positive: frozenset[int]
-    omega: tuple[Fraction, ...]
-    c: Fraction
+    mask: int
+    y: tuple[int, ...]
+    den: int
 
     def __post_init__(self):
-        if len(self.omega) != self.n:
+        n, mask = self.n, self.mask
+        if len(self.y) != n + 1:
             raise ValueError("witness length mismatch")
-        # the margins times the witness's common denominator D > 0 keep
-        # their signs and are the integers C + sum(W_j for the set bits)
-        [(const, *weights)] = _int_rows([(self.c, *self.omega)])
-        margins = affine_values(const, weights)
-        positive = self.positive
-        if 0 in margins or positive != {
-                v for v, value in enumerate(margins) if value > 0}:
+        if self.den <= 0:
+            raise ValueError("witness denominator must be positive")
+        g = gcd(*self.y, self.den)
+        object.__setattr__(self, "y", tuple(v // g for v in self.y))
+        object.__setattr__(self, "den", self.den // g)
+        margins = affine_values(self.y[n], self.y[:n])
+        if 0 in margins or mask != sum(
+                1 << v for v, value in enumerate(margins) if value > 0):
             bad = next((v for v, value in enumerate(margins)
-                        if value == 0 or (value > 0) != (v in positive)),
+                        if value == 0 or (value > 0) != (mask >> v & 1)),
                        None)
             if bad is None:
                 raise ValueError("positive set holds a non-vertex")
-            raise ValueError(
-                f"witness does not separate vertex {bad:0{self.n}b}")
+            raise ValueError(f"witness does not separate vertex {bad:0{n}b}")
 
     @property
-    def mask(self) -> int:
-        return subset_mask(self.positive)
+    def positive(self) -> frozenset[int]:
+        return frozenset(v for v in range(1 << self.n) if self.mask >> v & 1)
+
+    @cached_property
+    def omega(self) -> tuple[Fraction, ...]:
+        return tuple(Q(v, self.den) for v in self.y[:self.n])
+
+    @cached_property
+    def c(self) -> Fraction:
+        return Q(self.y[self.n], self.den)
+
+    def witness_text(self) -> list[str]:
+        """c, omega_1, ..., omega_n as their Fractions print, each
+        formatted from (y, den) without building one."""
+        den, out = self.den, []
+        for v in (self.y[self.n], *self.y[:self.n]):
+            g = gcd(v, den)
+            out.append(f"{v // g}" if g == den else f"{v // g}/{den // g}")
+        return out
 
 
 def is_slicing(subset: Iterable[int], n: int) -> Optional[Slicing]:
@@ -113,18 +136,19 @@ def is_slicing(subset: Iterable[int], n: int) -> Optional[Slicing]:
 
     The empty and the full vertex set are slicings (constant threshold
     functions) with witnesses omega = 0 and c = -1 or +1.  A subset with
-    a parallelogram certificate (:func:`_refuted`) is refuted without an
-    LP.  Otherwise the margin LP over the rows of all vertices in index
-    order decides it; ``solve_feasibility`` hands the LP these integer
-    rows and this box for the same system, so the witness is the one it
-    returns.  The witness is re-checked by substitution in every row.
-    The census splits regions by :func:`_split` instead.
+    a parallelogram certificate is refuted without an LP.  Otherwise the
+    margin LP over the rows of all vertices in index order decides it;
+    ``solve_feasibility`` hands the LP these integer rows and this box
+    for the same system, so the witness is the one it returns.  The
+    witness is re-checked by substitution in every row.  The census
+    splits regions by :func:`_split` instead.
     """
     positive = frozenset(subset)
     if not positive <= set(all_vertices(n)):
         raise ValueError("subset contains a non-vertex")
-    witness = _separation(subset_mask(positive), n)
-    return None if witness is None else _witnessed(n, positive, *witness)
+    mask = subset_mask(positive)
+    witness = _separation(mask, n)
+    return None if witness is None else Slicing(n, mask, *witness)
 
 
 def _separation(pos: int, n: int) -> Optional[tuple[Sequence[int], int]]:
@@ -133,18 +157,12 @@ def _separation(pos: int, n: int) -> Optional[tuple[Sequence[int], int]]:
     full = (1 << (1 << n)) - 1
     if pos in (0, full):
         return (0,) * n + (1 if pos else -1,), 1
-    if _refuted(pos, full ^ pos, n):
+    quad = _parallelogram(pos, full ^ pos)
+    if quad is not None and _certified(quad, pos, full ^ pos, n):
         return None
     rows = _signed_rows(n)
     strict = [rows[v][pos >> v & 1] for v in all_vertices(n)]
     return _rechecked(_margin_lp(strict, n + 1, _box(n + 1)), strict)
-
-
-def _witnessed(n: int, positive: frozenset[int], y: Sequence[int],
-               den: int) -> Slicing:
-    """The Slicing of the witness (omega, c) = y / den."""
-    return Slicing(n, positive, tuple(Q(v, den) for v in y[:n]),
-                   Q(y[n], den))
 
 
 @lru_cache(maxsize=None)
@@ -197,15 +215,6 @@ def _parallelogram(pos_mask: int,
     return None
 
 
-def _refuted(pos_mask: int, neg_mask: int, n: int) -> bool:
-    """Whether a parallelogram certificate, re-checked by substituting
-    vertex coordinates, shows ``pos_mask`` and ``neg_mask`` inseparable."""
-    quad = _parallelogram(pos_mask, neg_mask)
-    if quad is None:
-        return False
-    return _certified(quad, pos_mask, neg_mask, n)
-
-
 def _certified(quad, pos_mask: int, neg_mask: int, n: int) -> bool:
     """True once the certificate (a, b, c, d) is re-checked: a, b in
     ``pos_mask``, c, d in ``neg_mask`` and a + b = c + d by coordinates;
@@ -247,7 +256,7 @@ def _refuted_through(pos: int, k: int, n: int) -> bool:
     of the vertices 0..k inseparable, its certificate re-checked by
     coordinates.  When the split of 0..k-1 is separable, every
     parallelogram certificate of the split of 0..k passes through k, so
-    this is the verdict of :func:`_refuted`."""
+    this is the verdict of :func:`_parallelogram`."""
     neg = ((1 << (k + 1)) - 1) ^ pos
     positive = pos >> k & 1
     same = pos if positive else neg  # the vertices on k's side
@@ -386,10 +395,9 @@ def _split(n: int, k: int, pos: int, lp: _Tableau):
 
 @lru_cache(maxsize=None)
 def _census(n: int, strategy: str) -> list:
-    """The slot that holds the census of (n, strategy) once it is made, in
-    (cardinality, mask) order: the leaves (mask, y, den) until
-    :func:`enumerate_slicings` replaces them in place by their Slicings.
-    The census is identical for any thread count, so one slot serves all."""
+    """The slot that holds the leaves (mask, y, den) of the census of
+    (n, strategy) once it is made, in (cardinality, mask) order.  The
+    census is identical for any thread count, so one slot serves all."""
     return []
 
 
@@ -418,23 +426,23 @@ def enumerate_slicings(n: int, strategy: str = "arrangement",
                        threads: int = 1) -> list[Slicing]:
     """All slicings of the n-cube in canonical (cardinality, mask) order.
 
-    The first call that asks for the census's slicings builds each from
-    its leaf and puts it in the leaf's place, so the slot holds
-    one form at a time; every witness is re-checked as its Slicing is
-    built.
+    Each is built from its census leaf, which re-checks its witness,
+    once per process: later calls return the same objects.
     """
-    census = _filled_census(n, strategy, allow_long, threads)
-    if not isinstance(census[-1], Slicing):
-        for i, (mask, y, den) in enumerate(census):
-            pos = frozenset(v for v in all_vertices(n) if mask >> v & 1)
-            census[i] = _witnessed(n, pos, y, den)
-    return list(census)
+    _filled_census(n, strategy, allow_long, threads)
+    return list(_listing(n, strategy))
+
+
+@lru_cache(maxsize=None)
+def _listing(n: int, strategy: str) -> tuple[Slicing, ...]:
+    """The Slicings of the leaves in the filled slot of (n, strategy)."""
+    return tuple(Slicing(n, *leaf) for leaf in _census(n, strategy))
 
 
 def slicing_count(n: int, strategy: str = "arrangement",
                   allow_long: bool = False, threads: int = 1) -> int:
-    """The number of slicings of the n-cube, from the census in whichever
-    form it is held: a count builds no Slicing."""
+    """The number of slicings of the n-cube, from the census leaves: a
+    count builds no Slicing."""
     return len(_filled_census(n, strategy, allow_long, threads))
 
 
@@ -451,7 +459,6 @@ def count_zonotope_facets(n: int) -> int:
     """
     if n < 1 or n > 4:
         raise ValueError("supported for 1 <= n <= 4")
-    from itertools import combinations
     gens = [(1,) + vertex_coords(v, n) for v in all_vertices(n)]
     hyperplanes = 0
     done = set()
@@ -485,7 +492,7 @@ def cube_symmetries(n: int) -> list[tuple[int, ...]]:
 def write_slicings(slicings: Iterable[Slicing], stream: TextIO) -> None:
     """One slicing per line: ``n:<dim> pos:<hex mask> w:<c>,<w_1>,...``."""
     for s in slicings:
-        ws = ",".join([str(s.c)] + [str(x) for x in s.omega])
+        ws = ",".join(s.witness_text())
         stream.write(f"n:{s.n} pos:{s.mask:x} w:{ws}\n")
 
 

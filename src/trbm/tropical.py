@@ -22,7 +22,8 @@ from typing import NamedTuple, Optional, Sequence, TextIO
 from .codes import (HAMMING_LIMIT, ball_centers, ball_slicing,
                     shortened_hamming_code)
 from .cube import (Slicing, affine_values, all_vertices, enumerate_slicings,
-                   read_vertex_values, slicing_count, vertex_coords)
+                   read_vertex_values, slicing_count, subset_mask,
+                   vertex_coords)
 from .linalg import (Matrix, _int_rows, integer_kernel, qtuple, rank_01,
                      rank_gf2)
 from .lp import Farkas, LinearSystem, solve_feasibility
@@ -142,28 +143,22 @@ def inference_function(params: TropParams) -> dict[int, int]:
     The score separates over hidden units, so coordinate i of the argmax
     is the threshold function of W_i . v + c_i; any unit sitting exactly
     on its hyperplane makes the argmax non-unique, which is an error.
+    Each unit is read alone, as integers: (c_i, W_i) times a D > 0.
     """
     n, k = params.n, params.k
-    out: dict[int, int] = {}
-    ties: list[tuple[int, list[int]]] = []
-    acts = [affine_values(c, row)
-            for row, c in zip(params.weights, params.hidden_bias)]
-    for v in all_vertices(n):
-        h = 0
-        tied_units = []
-        for i in range(k):
-            act = acts[i][v]
-            if act == 0:
-                tied_units.append(i + 1)
-            elif act > 0:
-                h |= 1 << (k - 1 - i)
-        if tied_units:
-            ties.append((v, tied_units))
-        else:
-            out[v] = h
-    if ties:
-        raise AmbiguousArgmax(ties, n)
-    return out
+    states = [0] * (1 << n)
+    tied: dict[int, list[int]] = {}
+    for i, (row, c) in enumerate(zip(params.weights, params.hidden_bias)):
+        [(const, *weights)] = _int_rows([(c, *row)])
+        bit = 1 << (k - 1 - i)
+        for v, act in enumerate(affine_values(const, weights)):
+            if act > 0:
+                states[v] |= bit
+            elif not act:
+                tied.setdefault(v, []).append(i + 1)
+    if tied:
+        raise AmbiguousArgmax(sorted(tied.items()), n)
+    return dict(enumerate(states))
 
 
 def _slicing_rows(n: int, masks: Sequence[int]) -> list[list[int]]:
@@ -364,12 +359,11 @@ def _random_slicing(n: int, rng: Random) -> Slicing:
     """The slicing of the first integer witness drawn that puts no vertex
     on its hyperplane."""
     while True:
-        omega = [rng.randint(-2 * n, 2 * n) for _ in range(n)]
-        c = rng.randint(-2 * n, 2 * n)
-        margins = affine_values(c, omega)
+        y = [rng.randint(-2 * n, 2 * n) for _ in range(n + 1)]  # omega, c
+        margins = affine_values(y[n], y[:n])
         if 0 not in margins:
-            pos = frozenset(v for v, m in enumerate(margins) if m > 0)
-            return Slicing(n, pos, qtuple(omega), Q(c))
+            pos = subset_mask(v for v, m in enumerate(margins) if m > 0)
+            return Slicing(n, pos, y, 1)
 
 
 def _search_greedy(n, k, seeds, seed, restarts):

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from math import lcm
 from random import Random
-from typing import TextIO
+from typing import Iterable, TextIO
 
-from trbm.cube import Slicing, all_vertices
+from trbm.cube import Slicing, subset_mask
 from trbm.linalg import Matrix
 from trbm.rbmstats import ExpParams, MixtureParams
 
@@ -37,6 +38,17 @@ def random_mixture_params(n: int, rng: Random,
         [random_unit_fraction(rng, bound) for _ in range(n)])
 
 
+def slicing(n: int, positive: Iterable[int], omega, c) -> Slicing:
+    """The Slicing of the vertex set ``positive`` with the rational
+    witness (omega, c), scaled to integers over its least common
+    denominator."""
+    witness = [Q(x) for x in (*omega, c)]
+    den = lcm(*(x.denominator for x in witness))
+    return Slicing(n, subset_mask(positive),
+                   tuple(x.numerator * (den // x.denominator)
+                         for x in witness), den)
+
+
 def read_slicings(stream: TextIO) -> list[Slicing]:
     """The slicings of a ``cube.write_slicings`` file, witnesses checked."""
     out = []
@@ -47,9 +59,9 @@ def read_slicings(stream: TextIO) -> list[Slicing]:
         fields = dict(part.split(":", 1) for part in line.split())
         n = int(fields["n"])
         mask = int(fields["pos"], 16)
-        nums = [Q(x) for x in fields["w"].split(",")]
-        pos = frozenset(v for v in all_vertices(n) if mask >> v & 1)
-        out.append(Slicing(n, pos, tuple(nums[1:]), nums[0]))
+        c, *omega = fields["w"].split(",")
+        pos = [v for v in range(mask.bit_length()) if mask >> v & 1]
+        out.append(slicing(n, pos, omega, c))
     return out
 
 

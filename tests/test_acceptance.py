@@ -5,6 +5,7 @@ time limits are asserted alongside the values.  Run standalone with
 ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
 """
 
+import hashlib
 import os
 import time
 from fractions import Fraction as Q
@@ -29,6 +30,12 @@ from trbm.rbmstats import (check_membership_necessary, covariance_matrix,
 from trbm.tropical import (TropParams, TropicalPoint, inference_function,
                            tropical_dimension, tropical_membership,
                            tropical_morphism)
+
+
+# SHA-256 of the stdout of ``slicings --n 5 --allow-long``, the whole
+# long-mode listing with every witness.
+N5_LISTING_SHA256 = \
+    "3aeefc01577d4890526c98c6f708504615b6bd4fe18a8792c2521a66ce63263d"
 
 
 def report(number, label, started, limit):
@@ -58,7 +65,10 @@ def test_criterion_1_threshold_function_counts():
     assert time.time() - t1 < 600
     if os.environ.get("TRBM_ACCEPT_LONG"):
         assert slicing_count(5, "arrangement", allow_long=True) == 94572
-        label = "slicing counts 4, 14, 104, 1882, 94572"
+        listing = cli_output("slicings", "--n", "5", "--allow-long") + "\n"
+        assert hashlib.sha256(listing.encode()).hexdigest() \
+            == N5_LISTING_SHA256
+        label = "slicing counts 4, 14, 104, 1882, 94572 and the n=5 listing"
     else:
         label = "slicing counts 4, 14, 104, 1882 (n=5 long mode skipped)"
     report(1, label, t0, 611)

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from helpers import read_slicings
+from helpers import read_slicings, slicing
 from trbm import cube
 from trbm.codes import ball_slicing
 from trbm.cube import (Slicing, _enumerate_arrangement, _enumerate_brute,
@@ -99,7 +99,7 @@ def test_canonical_order():
 
 def test_invalid_witness_rejected():
     with pytest.raises(ValueError):
-        Slicing(2, frozenset({3}), (0, 0), 1)
+        slicing(2, {3}, (0, 0), 1)
 
 
 def test_zonotope_facets(monkeypatch):
@@ -146,6 +146,12 @@ def test_threads_match_single():
     assert _enumerate_brute(3, 1) == _enumerate_brute(3, 2)
 
 
+def cold():
+    """Forget every census leaf and every Slicing built from one."""
+    cube._census.cache_clear()
+    cube._listing.cache_clear()
+
+
 @pytest.mark.parametrize("strategy, n, threads",
                          [("arrangement", n, threads) for n in (1, 2, 3, 4)
                           for threads in (1, 2)]
@@ -155,9 +161,9 @@ def test_count_then_listing_is_the_listing(strategy, n, threads):
         return [(s.mask, s.omega, s.c)
                 for s in enumerate_slicings(n, strategy, threads=threads)]
 
-    cube._census.cache_clear()
+    cold()
     alone = listing()
-    cube._census.cache_clear()
+    cold()
     assert slicing_count(n, strategy, threads=threads) == len(alone)
     assert listing() == alone
 
@@ -172,7 +178,7 @@ def test_count_builds_no_slicing(monkeypatch):
 
     monkeypatch.setattr(Slicing, "__post_init__", counted)
     for threads in (1, 2):
-        cube._census.cache_clear()
+        cold()
         assert slicing_count(4, threads=threads) == 1882
         assert built == []
     # the exhaustive guard of dim reads the count too
@@ -181,9 +187,39 @@ def test_count_builds_no_slicing(monkeypatch):
     assert built == []
     listed = enumerate_slicings(4)
     assert built == [s.mask for s in listed]
-    # the leaves were replaced in place: the slot holds one form
-    assert cube._census(4, "arrangement") == listed
+    # the slot keeps its leaves, and a second listing builds nothing
+    assert [leaf[0] for leaf in cube._census(4, "arrangement")] == built
+    assert enumerate_slicings(4) == listed
     assert slicing_count(4) == 1882 and len(built) == 1882
+
+
+def test_listings_return_the_same_slicings():
+    first, second = enumerate_slicings(3), enumerate_slicings(3)
+    assert first is not second
+    assert all(a is b for a, b in zip(first, second, strict=True))
+
+
+def test_equal_witnesses_make_equal_slicings():
+    # y / den and (g y) / (g den) are one witness: equal fields, hashes
+    for s in enumerate_slicings(3) + [ball_slicing(0b10110, 5)]:
+        for g in (2, 3, 10 ** 20 + 39):
+            scaled = Slicing(s.n, s.mask, tuple(g * v for v in s.y),
+                             g * s.den)
+            assert scaled == s and hash(scaled) == hash(s)
+            assert (scaled.y, scaled.den) == (s.y, s.den)
+    assert Slicing(2, 0b1000, (4, 4, -6), 4) \
+        == slicing(2, {3}, (1, 1), Q(-3, 2))
+
+
+def test_omega_and_c_are_the_reduced_fractions():
+    s = Slicing(2, 0b1000, (6, 9, -12), 6)
+    assert (s.y, s.den) == ((2, 3, -4), 2)
+    assert s.omega == (Q(1), Q(3, 2)) and s.c == Q(-2)
+    assert [type(x) for x in (*s.omega, s.c)] == [Q] * 3
+    assert s.omega is s.omega and s.c is s.c  # computed once
+    assert s.witness_text() == ["-2", "1", "3/2"]
+    with pytest.raises(ValueError, match="denominator"):
+        Slicing(2, 0b1000, (-2, -3, 4), -2)
 
 
 def test_slicing_file_roundtrip():
@@ -290,12 +326,12 @@ def test_corrupted_parallelogram_certificate_raises(monkeypatch):
 def test_slicing_rejects_zero_and_negative_near_misses():
     d = 10 ** 30 + 7
     with pytest.raises(ValueError):  # vertex 11 has margin exactly 0
-        Slicing(2, frozenset({3}), (Q(1), Q(1)), Q(-2))
+        slicing(2, {3}, (Q(1), Q(1)), Q(-2))
     with pytest.raises(ValueError):  # vertex 11 has margin -1/d
-        Slicing(2, frozenset({3}), (Q(1), Q(1)), Q(-2) - Q(1, d))
+        slicing(2, {3}, (Q(1), Q(1)), Q(-2) - Q(1, d))
     with pytest.raises(ValueError):  # vertex 01 has margin +1/d, not < 0
-        Slicing(2, frozenset({3}), (Q(1, 3), Q(2, 3)), Q(-2, 3) + Q(1, d))
-    s = Slicing(2, frozenset({3}), (Q(1), Q(1)), Q(-2) + Q(1, d))
+        slicing(2, {3}, (Q(1, 3), Q(2, 3)), Q(-2, 3) + Q(1, d))
+    s = slicing(2, {3}, (Q(1), Q(1)), Q(-2) + Q(1, d))
     margins = affine_values(s.c, s.omega)
     assert margins[3] == Q(1, d) and margins[2] == Q(-1) + Q(1, d)
 
@@ -357,10 +393,10 @@ def test_slicing_check_agrees_with_fraction_margins():
         separates = all(m != 0 and (m > 0) == (v in positive)
                         for v, m in enumerate(margins))
         if separates:
-            assert Slicing(n, positive, omega, c).mask == subset_mask(positive)
+            assert slicing(n, positive, omega, c).mask == subset_mask(positive)
         else:
             with pytest.raises(ValueError):
-                Slicing(n, positive, omega, c)
+                slicing(n, positive, omega, c)
 
 
 def test_slicing_check_on_a_ball_of_the_15_cube():
@@ -370,16 +406,16 @@ def test_slicing_check_on_a_ball_of_the_15_cube():
     margins = affine_values(ball.c, ball.omega)
     assert margins[w] == Q(3, 2) and margins[w ^ 0b11] == Q(-1, 2)
     with pytest.raises(ValueError, match=f"vertex {w ^ 0b11:015b}"):
-        Slicing(n, ball.positive | {w ^ 0b11}, ball.omega, ball.c)
+        slicing(n, ball.positive | {w ^ 0b11}, ball.omega, ball.c)
     with pytest.raises(ValueError, match=f"vertex {w ^ 1:015b}"):
-        Slicing(n, ball.positive - {w ^ 1}, ball.omega, ball.c)
+        slicing(n, ball.positive - {w ^ 1}, ball.omega, ball.c)
     with pytest.raises(ValueError, match=f"vertex {w ^ 1 << 14:015b}"):
-        Slicing(n, ball.positive, ball.omega, ball.c - Q(1, 2))  # margin 0
+        slicing(n, ball.positive, ball.omega, ball.c - Q(1, 2))  # margin 0
 
 
 def test_slicing_rejects_a_non_vertex():
     with pytest.raises(ValueError, match="non-vertex"):
-        Slicing(2, frozenset({3, 4}), (Q(1), Q(1)), Q(-3, 2))
+        slicing(2, {3, 4}, (Q(1), Q(1)), Q(-3, 2))
 
 
 def test_separation_witness_is_rechecked(monkeypatch):
