@@ -98,7 +98,7 @@ def test_canonical_order():
 
 
 def test_invalid_witness_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="separate vertex 00$"):
         slicing(2, {3}, (0, 0), 1)
 
 
@@ -325,11 +325,11 @@ def test_corrupted_parallelogram_certificate_raises(monkeypatch):
 
 def test_slicing_rejects_zero_and_negative_near_misses():
     d = 10 ** 30 + 7
-    with pytest.raises(ValueError):  # vertex 11 has margin exactly 0
+    with pytest.raises(ValueError, match="vertex 11$"):  # margin exactly 0
         slicing(2, {3}, (Q(1), Q(1)), Q(-2))
-    with pytest.raises(ValueError):  # vertex 11 has margin -1/d
+    with pytest.raises(ValueError, match="vertex 11$"):  # margin -1/d
         slicing(2, {3}, (Q(1), Q(1)), Q(-2) - Q(1, d))
-    with pytest.raises(ValueError):  # vertex 01 has margin +1/d, not < 0
+    with pytest.raises(ValueError, match="vertex 01$"):  # +1/d, not < 0
         slicing(2, {3}, (Q(1, 3), Q(2, 3)), Q(-2, 3) + Q(1, d))
     s = slicing(2, {3}, (Q(1), Q(1)), Q(-2) + Q(1, d))
     margins = affine_values(s.c, s.omega)
