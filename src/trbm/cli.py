@@ -24,8 +24,8 @@ from .codes import (BOUNDS_LIMIT, covering_radius, exact_small_values,
                     hamming_code, min_distance, read_code,
                     table_known_bounds, code_to_slicings, varshamov_lower,
                     covering_upper, write_code)
-from .cube import (count_zonotope_facets, enumerate_slicings,
-                   slicing_count, write_slicings, write_vertex_values)
+from .cube import (Slicing, _filled_census, count_zonotope_facets,
+                   write_slicings, write_vertex_values)
 from .rbmstats import (ExpParams, MixtureParams,
                        check_membership_necessary, covariance_matrix,
                        hadamard_product, joint_distribution,
@@ -108,18 +108,18 @@ def _trop_params(path: str) -> TropParams:
 
 
 def cmd_slicings(args) -> None:
-    census = (args.n, args.strategy, args.allow_long, args.threads)
-    doc = {"n": args.n, "strategy": args.strategy}
+    n = args.n
+    leaves = _filled_census(n, args.strategy, args.allow_long, args.threads)
+    doc = {"n": n, "strategy": args.strategy, "count": len(leaves)}
     if args.count:
-        count = slicing_count(*census)
-        _emit(dict(doc, count=count), args, str(count))
+        _emit(doc, args, str(len(leaves)))
     else:
-        slicings = enumerate_slicings(*census)
-        doc["count"] = len(slicings)
+        def slicings():  # built one at a time, as they are written
+            return (Slicing(n, *leaf) for leaf in leaves)
         _emit(lambda: dict(doc, slicings=[
                   {"pos": format(s.mask, "x"), "c": c, "omega": omega}
-                  for s in slicings for c, *omega in [s.witness_text()]]),
-              args, partial(write_slicings, slicings))
+                  for s in slicings() for c, *omega in [s.witness_text()]]),
+              args, lambda out: write_slicings(slicings(), out))
 
 
 def cmd_zonotope(args) -> None:

@@ -14,8 +14,9 @@ The arrangement census walks its tree of regions depth first: a region
 of the vertices 0..k-1 carries its margin LP, stopped at the end of the
 degenerate phase, and a split at vertex k copies it and adds one row
 (:func:`_split`).  Its subtrees share one worker pool.  Its leaves are
-integer witnesses (mask, y, den): a count reads how many there are, and
-a Slicing is built from each leaf when a caller first asks for them.
+integer witnesses (mask, y, den), the only form in which the census is
+kept: a count reads how many there are, and a Slicing is built from a
+leaf only where one is returned.
 """
 
 from __future__ import annotations
@@ -286,7 +287,7 @@ def _enumerate_brute(n: int,
     :func:`_separation` separates, in (cardinality, mask) order; the
     complement of a leaf's mask has the leaf (full ^ mask, -y, den)."""
     total = 1 << (1 << n)
-    step = max(1, total // 256) if threads > 1 else total
+    step = max(1, total // 256) if workers(threads) > 1 else total
     chunks = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
     leaves = []
     for found in parallel_map(_brute_chunk, chunks, threads):
@@ -396,8 +397,9 @@ def _split(n: int, k: int, pos: int, lp: _Tableau):
 @lru_cache(maxsize=None)
 def _census(n: int, strategy: str) -> list:
     """The slot that holds the leaves (mask, y, den) of the census of
-    (n, strategy) once it is made, in (cardinality, mask) order.  The
-    census is identical for any thread count, so one slot serves all."""
+    (n, strategy) once it is made, in (cardinality, mask) order, for the
+    life of the process; no Slicing is kept.  The census is identical
+    for any thread count, so one slot serves all."""
     return []
 
 
@@ -426,17 +428,11 @@ def enumerate_slicings(n: int, strategy: str = "arrangement",
                        threads: int = 1) -> list[Slicing]:
     """All slicings of the n-cube in canonical (cardinality, mask) order.
 
-    Each is built from its census leaf, which re-checks its witness,
-    once per process: later calls return the same objects.
+    Each is built from its census leaf, which re-checks its witness, at
+    every call: the census keeps only the leaves.
     """
-    _filled_census(n, strategy, allow_long, threads)
-    return list(_listing(n, strategy))
-
-
-@lru_cache(maxsize=None)
-def _listing(n: int, strategy: str) -> tuple[Slicing, ...]:
-    """The Slicings of the leaves in the filled slot of (n, strategy)."""
-    return tuple(Slicing(n, *leaf) for leaf in _census(n, strategy))
+    return [Slicing(n, *leaf)
+            for leaf in _filled_census(n, strategy, allow_long, threads)]
 
 
 def slicing_count(n: int, strategy: str = "arrangement",

@@ -208,8 +208,6 @@ def solve_feasibility(sys: LinearSystem,
     # z = B y / d with the columns of B spanning the equalities' kernel; a
     # system without equalities takes the kernel of one zero row: B = I, d = 1
     basis, d = integer_kernel(Matrix(eqs or [[0] * dim]))
-    if not basis:
-        return refuted({0: 1})  # z = 0 is the only solution
 
     rows, source = [], []
     for i, row in enumerate(scaled):

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence, TextIO
 
 from .codes import (HAMMING_LIMIT, ball_centers, ball_slicing,
                     shortened_hamming_code)
-from .cube import (Slicing, affine_values, all_vertices, enumerate_slicings,
+from .cube import (Slicing, _filled_census, affine_values, all_vertices,
                    read_vertex_values, slicing_count, subset_mask,
                    vertex_coords)
 from .linalg import (Matrix, _int_rows, integer_kernel, qtuple, rank_01,
@@ -32,8 +32,8 @@ from .parallel import parallel_map, workers
 Q = Fraction
 
 EXHAUSTIVE_GUARD = 20_000
-# greedy_random draws slicings by listing all 2^n vertex margins:
-# n = 15 at k = 2 takes half a second, n = 16 at k = 1 over a minute
+# greedy_random draws slicings by listing all 2^n vertex margins: n = 15
+# at k = 2 takes 0.2 s, n = 16 at k = 1 (no code seeds) over 400 s
 GREEDY_LIMIT = 15
 # without code seeds (_code_slicings) it draws every slicing, and each of
 # up to 60k steps per restart ranks a 2^n x (n + k(n+1)) matrix, by the
@@ -280,17 +280,16 @@ def tropical_dimension(n: int, k: int, strategy: str = "exhaustive",
     if restarts < 1:
         raise ValueError(f"dim needs restarts >= 1, got restarts={restarts}")
     if strategy == "exhaustive":
-        count = slicing_count(n, allow_long=allow_long)
-        if k > count:
-            raise ValueError(f"exhaustive needs k <= {count}, the "
+        leaves = _filled_census(n, "arrangement", allow_long, 1)
+        if k > len(leaves):
+            raise ValueError(f"exhaustive needs k <= {len(leaves)}, the "
                              f"slicing count at n={n}, got k={k}")
-        total = comb(count, k)
+        total = comb(len(leaves), k)
         if total > EXHAUSTIVE_GUARD and not allow_long:
             raise ValueError(
                 f"{total} slicing tuples exceed the exhaustive guard; "
                 "run it with --allow-long")
-        slicings = enumerate_slicings(n, allow_long=allow_long)
-        max_rank, witness = _search_exhaustive(n, k, slicings, threads)
+        max_rank, witness = _search_exhaustive(n, k, leaves, threads)
         certified = True
     elif strategy == "code_based":
         witness = _code_slicings(n, k)
@@ -323,24 +322,25 @@ def tropical_dimension(n: int, k: int, strategy: str = "exhaustive",
                            tuple(witness))
 
 
-def _search_exhaustive(n, k, slicings, threads):
-    """The first combination of the highest rank, in combination order.
+def _search_exhaustive(n, k, leaves, threads):
+    """The first combination of the highest rank, in combination order,
+    of census ``leaves``, with a Slicing built for each of its k leaves.
 
     One worker scans all combinations as one batch, so the scan stops at
-    the first one that reaches the shape bound; more workers get
-    ``8 * threads`` batches, each stopping at its own first.
+    the first one that reaches the shape bound; more workers get 8
+    batches each (:func:`workers`), each stopping at its own first.
     """
-    combos = list(combinations(range(len(slicings)), k))
-    masks = [s.mask for s in slicings]
-    count = 1 if workers(threads) <= 1 else threads * 8
-    chunk = max(1, len(combos) // count)
+    combos = list(combinations(range(len(leaves)), k))
+    masks = [mask for mask, _, _ in leaves]
+    count = workers(threads)
+    chunk = max(1, len(combos) // (1 if count == 1 else 8 * count))
     batches = [(n, _rank_bound(n, k), masks, combos[i:i + chunk])
                for i in range(0, len(combos), chunk)]
     best_rank, best_idx = 0, None
     for r, idx in parallel_map(_rank_chunk, batches, threads):
         if r > best_rank:
             best_rank, best_idx = r, idx
-    return best_rank, tuple(slicings[i] for i in best_idx)
+    return best_rank, tuple(Slicing(n, *leaves[i]) for i in best_idx)
 
 
 def _code_slicings(n: int, k: int) -> tuple[Slicing, ...]:
@@ -355,43 +355,46 @@ def _code_slicings(n: int, k: int) -> tuple[Slicing, ...]:
     return tuple(ball_slicing(w, n) for w in centers[:k])
 
 
-def _random_slicing(n: int, rng: Random) -> Slicing:
-    """The slicing of the first integer witness drawn that puts no vertex
-    on its hyperplane."""
+def _random_slicing(n: int, rng: Random) -> tuple[int, list[int]]:
+    """The mask and the integer witness y = (omega, c) of the first y
+    drawn that puts no vertex on its hyperplane: the leaf (mask, y, 1),
+    from one listing of its margins."""
     while True:
-        y = [rng.randint(-2 * n, 2 * n) for _ in range(n + 1)]  # omega, c
+        y = [rng.randint(-2 * n, 2 * n) for _ in range(n + 1)]
         margins = affine_values(y[n], y[:n])
         if 0 not in margins:
-            pos = subset_mask(v for v, m in enumerate(margins) if m > 0)
-            return Slicing(n, pos, y, 1)
+            return subset_mask(v for v, m in enumerate(margins) if m > 0), y
 
 
 def _search_greedy(n, k, seeds, seed, restarts):
     """Random replacement of one slicing at a time, kept when the rank
-    grows; the first restart starts from ``seeds`` unless it is None."""
+    grows; the first restart starts from ``seeds`` unless it is None.
+    A tuple holds (mask, seed Slicing or drawn y), and a draw is built
+    as a Slicing only if it is returned."""
     rng = Random(seed)
     target = _rank_bound(n, k)
     best_rank, best = 0, None
     for attempt in range(restarts):
         if attempt == 0 and seeds is not None:
-            current = list(seeds)
+            current = [(s.mask, s) for s in seeds]
         else:
             current = [_random_slicing(n, rng) for _ in range(k)]
-        cur_rank = _slicing_rank(n, [s.mask for s in current])
+        cur_rank = _slicing_rank(n, [mask for mask, _ in current])
         for _ in range(60 * k):
             if cur_rank == target:
                 break
             pos = rng.randrange(k)
             cand = current.copy()
             cand[pos] = _random_slicing(n, rng)
-            cand_rank = _slicing_rank(n, [s.mask for s in cand])
+            cand_rank = _slicing_rank(n, [mask for mask, _ in cand])
             if cand_rank > cur_rank:
                 current, cur_rank = cand, cand_rank
         if cur_rank > best_rank:
             best_rank, best = cur_rank, current
         if best_rank == target:
             break
-    return best_rank, tuple(best)
+    return best_rank, tuple(s if isinstance(s, Slicing) else
+                            Slicing(n, mask, s, 1) for mask, s in best)
 
 
 @dataclass(frozen=True)
@@ -428,16 +431,17 @@ def tropical_membership(q: TropicalPoint) -> MembershipResult:
     E x = q inconsistent), and every LP that returns None adds its own.
     Only infeasible systems are skipped and slicings are tried in the
     same order, so the first feasible one and its witness are those of
-    one solve per slicing.
+    one solve per slicing.  A Slicing is built only for an LP that runs.
     """
     n = q.n
     if n > 4:
         raise ValueError("membership iterates all slicings; needs n <= 4")
     [qs] = _int_rows([q.values])
-    for s in enumerate_slicings(n):
-        if _refuted(n, s.mask, qs):
+    for mask, y, den in _filled_census(n, "arrangement", False, 1):
+        if _refuted(n, mask, qs):
             continue
-        result = _membership_one(q, s, _membership_block(n, s.mask).kept)
+        result = _membership_one(q, Slicing(n, mask, y, den),
+                                 _membership_block(n, mask).kept)
         if result is not None:
             return result
     return MembershipResult(member=False)

@@ -49,6 +49,20 @@ def slicing(n: int, positive: Iterable[int], omega, c) -> Slicing:
                          for x in witness), den)
 
 
+def count_builds(monkeypatch) -> list[int]:
+    """The masks of the Slicings built from now on, in order of their
+    checks (``Slicing.__post_init__``), in a list that grows."""
+    built = []
+    post_init = Slicing.__post_init__
+
+    def counted(self):
+        built.append(self.mask)
+        post_init(self)
+
+    monkeypatch.setattr(Slicing, "__post_init__", counted)
+    return built
+
+
 def read_slicings(stream: TextIO) -> list[Slicing]:
     """The slicings of a ``cube.write_slicings`` file, witnesses checked."""
     out = []

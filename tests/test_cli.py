@@ -9,6 +9,7 @@ import pytest
 pytest.importorskip("jsonschema")
 import jsonschema  # noqa: E402
 
+from helpers import count_builds  # noqa: E402
 from trbm.cli import build_parser, main  # noqa: E402
 from trbm.cube import write_vertex_values  # noqa: E402
 from trbm.rbmstats import hadamard_product, read_distribution  # noqa: E402
@@ -39,6 +40,17 @@ def run_json(capsys, schema_name, *args):
 def test_slicings_count(capsys):
     code, out, _ = run(capsys, "slicings", "--n", "3", "--count")
     assert (code, out.strip()) == (0, "104")
+
+
+def test_slicings_listing_builds_one_slicing_per_line(capsys, monkeypatch):
+    built = count_builds(monkeypatch)
+    code, out, _ = run(capsys, "slicings", "--n", "4")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == len(built) == 1882
+    assert built == [int(line.split()[1][4:], 16) for line in lines]
+    built.clear()
+    code, out, _ = run(capsys, "slicings", "--n", "4", "--count")
+    assert (code, out, built) == (0, "1882\n", [])
 
 
 def test_slicings_json(capsys):

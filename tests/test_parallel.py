@@ -1,6 +1,9 @@
+import trbm.cube
 import trbm.parallel
-from trbm.cube import _enumerate_arrangement
+import trbm.tropical
+from trbm.cube import _enumerate_arrangement, _enumerate_brute, _filled_census
 from trbm.parallel import parallel_map
+from trbm.tropical import _search_exhaustive
 
 
 class RecordingPool:
@@ -48,3 +51,24 @@ def test_census_starts_at_most_one_pool(monkeypatch):
     multi = _enumerate_arrangement(4, 2)
     assert RecordingPool.seen == [2]
     assert single == multi
+
+
+def test_batches_follow_the_worker_count(monkeypatch):
+    # --threads above the CPU count cuts the batches of the workers that
+    # run: on two CPUs the C(104, 2) = 5,356 pairs go in chunks of
+    # 5,356 // 16 = 334 (17 batches), and on one CPU brute is one chunk
+    cut = []
+
+    def recording(fn, items, threads=1):
+        cut.append(len(items))
+        return [fn(x) for x in items]
+
+    leaves = _filled_census(3, "arrangement", False, 1)
+    monkeypatch.setattr(trbm.tropical, "parallel_map", recording)
+    monkeypatch.setattr(trbm.cube, "parallel_map", recording)
+    monkeypatch.setattr(trbm.parallel.os, "cpu_count", lambda: 2)
+    assert _search_exhaustive(3, 2, leaves, 64) \
+        == _search_exhaustive(3, 2, leaves, 2)
+    monkeypatch.setattr(trbm.parallel.os, "cpu_count", lambda: 1)
+    assert _enumerate_brute(3, 64) == _enumerate_brute(3, 1)
+    assert cut == [17, 17, 1, 1]

@@ -5,10 +5,11 @@ from random import Random
 
 import pytest
 
+from helpers import count_builds
 from trbm import linalg, tropical
 from trbm.codes import code_to_slicings, hamming_code
-from trbm.cube import all_vertices, enumerate_slicings, is_slicing, \
-    vertex_coords, write_vertex_values
+from trbm.cube import Slicing, _filled_census, all_vertices, \
+    enumerate_slicings, is_slicing, vertex_coords, write_vertex_values
 from trbm.fan import secondary_fan_faces
 from trbm.linalg import Matrix, rank, rank_bareiss
 from trbm.tropical import (AmbiguousArgmax, MembershipResult, TropParams,
@@ -246,10 +247,17 @@ def test_stopped_search_matches_full_scan(k, threads):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_search_below_the_bound_keeps_the_first_witness(threads):
-    few = enumerate_slicings(3)[:20]  # at most two vertices: rank <= 7 < 8
-    best = full_scan_oracle(3, 2, few)
+    # at most two vertices: rank <= 7 < 8
+    few = _filled_census(3, "arrangement", False, 1)[:20]
+    best = full_scan_oracle(3, 2, [Slicing(3, *leaf) for leaf in few])
     assert best[0] == 7
     assert tropical._search_exhaustive(3, 2, few, threads) == best
+
+
+def test_exhaustive_dim_builds_only_its_witness(monkeypatch):
+    built = count_builds(monkeypatch)
+    r = tropical_dimension(3, 2)
+    assert built == [s.mask for s in r.witness] and len(built) == 2
 
 
 def test_search_stops_at_the_shape_bound(monkeypatch):
@@ -314,6 +322,15 @@ def test_dimension_greedy_keeps_better_replacements(monkeypatch):
     r = tropical_dimension(3, 3, "greedy_random", seed=2, restarts=1)
     assert (r.max_rank, r.dim, r.certified) == (8, 7, True)
     assert len(drawn) == 3 + 16  # the first tuple, then the replacements
+
+
+@pytest.mark.parametrize("n, k, seed", [(3, 3, 2), (4, 3, 0), (3, 1, 0)])
+def test_greedy_builds_only_the_slicings_it_returns(monkeypatch, n, k, seed):
+    # (3, 3) and (4, 3) have no code seeds: every slicing built is a
+    # kept draw; (3, 1) builds its seed, which it returns
+    built = count_builds(monkeypatch)
+    r = tropical_dimension(n, k, "greedy_random", seed=seed)
+    assert built == [s.mask for s in r.witness] and len(built) == k
 
 
 def test_dimension_guard():
@@ -434,6 +451,31 @@ def test_a_second_query_runs_only_the_feasible_lp(monkeypatch):
         calls.clear()
         assert tropical_membership(q) == first
         assert len(calls) == first.member
+
+
+def test_membership_builds_at_most_one_slicing_per_lp(monkeypatch):
+    calls = []
+    real = tropical.solve_feasibility
+
+    def counted(system, certificates=None):
+        calls.append(system)
+        return real(system, certificates)
+
+    monkeypatch.setattr(tropical, "solve_feasibility", counted)
+    built = count_builds(monkeypatch)
+    _membership_block.cache_clear()
+    rng = Random(11)
+    members = 0
+    for _ in range(20):
+        calls.clear()
+        built.clear()
+        res = tropical_membership(
+            TropicalPoint.build(3, [rng.randint(-9, 9) for _ in range(8)]))
+        assert len(built) <= len(calls)
+        if res.member:
+            members += 1
+            assert built[-1] == res.slicing.mask
+    assert 0 < members < 20
 
 
 def test_tampered_kept_certificate_fails_revalidation():
