@@ -4,7 +4,12 @@ Every operation is exposed as a subcommand with deterministic output:
 randomized searches take an explicit ``--seed`` (default 0), rationals
 are printed exactly as ``p/q``, and ``--json`` emits documents matching
 the schemas shipped under ``trbm/schemas``.  Exit codes: 0 success,
-2 invalid input, 1 internal assertion failure.
+2 invalid input, 1 internal assertion failure, 141 when the reader of
+stdout closed it before the result was written (as SIGPIPE would).
+
+Only ``cube`` (with the ``lp``, ``linalg`` and ``parallel`` it imports)
+is loaded with this module; each handler imports the modules it runs,
+so a command pays at start-up only for what it uses.
 """
 
 from __future__ import annotations
@@ -18,22 +23,8 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import Optional, Sequence
 
-from . import fan as fan_mod
-from . import polynomials as poly_mod
-from .codes import (BOUNDS_LIMIT, covering_radius, exact_small_values,
-                    hamming_code, min_distance, read_code,
-                    table_known_bounds, code_to_slicings, varshamov_lower,
-                    covering_upper, write_code)
 from .cube import (Slicing, _filled_census, count_zonotope_facets,
                    write_slicings, write_vertex_values)
-from .rbmstats import (ExpParams, MixtureParams,
-                       check_membership_necessary, covariance_matrix,
-                       hadamard_product, joint_distribution,
-                       max_flattening_rank, mixture_distribution,
-                       read_distribution)
-from .tropical import (AmbiguousArgmax, TropParams, inference_function,
-                       read_tropical_point, tropical_dimension,
-                       tropical_membership, tropical_morphism)
 
 Q = Fraction
 ENV_THREADS = "TRBM_THREADS"  # the worker count when --threads is not given
@@ -103,7 +94,9 @@ def _load_params(path: str, *keys: tuple[str, int]) -> list:
             for key, depth in keys]
 
 
-def _trop_params(path: str) -> TropParams:
+def _trop_params(path: str):
+    """The ``TropParams`` of the params file at ``path``."""
+    from .tropical import TropParams
     return TropParams.build(*_load_params(path, ("W", 2), ("b", 1), ("c", 1)))
 
 
@@ -128,12 +121,14 @@ def cmd_zonotope(args) -> None:
 
 
 def cmd_phi(args) -> None:
+    from .tropical import tropical_morphism
     point = tropical_morphism(_trop_params(args.params))
     _emit({"n": point.n, "values": q_list(point.values)}, args,
           partial(write_vertex_values, point.values))
 
 
 def cmd_infer(args) -> None:
+    from .tropical import inference_function
     params = _trop_params(args.params)
     mapping = inference_function(params)
     vs, hs = f"0{params.n}b", f"0{params.k}b"  # the formats of v and h
@@ -144,6 +139,7 @@ def cmd_infer(args) -> None:
 
 
 def cmd_dim(args) -> None:
+    from .tropical import tropical_dimension
     result = tropical_dimension(args.n, args.k, strategy=args.strategy,
                                 seed=args.seed, restarts=args.restarts,
                                 allow_long=args.allow_long,
@@ -158,6 +154,7 @@ def cmd_dim(args) -> None:
 
 
 def cmd_member(args) -> None:
+    from .tropical import read_tropical_point, tropical_membership
     res = tropical_membership(_read(args.point, read_tropical_point))
     if res.member:
         doc = {"member": True, "slicing": format(res.slicing.mask, "x"),
@@ -174,6 +171,10 @@ def cmd_member(args) -> None:
 
 
 def cmd_codes(args) -> None:
+    from .codes import (BOUNDS_LIMIT, code_to_slicings, covering_radius,
+                        covering_upper, exact_small_values, hamming_code,
+                        min_distance, read_code, table_known_bounds,
+                        varshamov_lower, write_code)
     if args.codes_op == "hamming":
         _require(args, ell=args.ell)
         code = hamming_code(args.ell)
@@ -227,6 +228,11 @@ def _emit_distribution(dist, args) -> None:
 
 
 def cmd_rbm(args) -> None:
+    from .rbmstats import (ExpParams, MixtureParams,
+                           check_membership_necessary, covariance_matrix,
+                           hadamard_product, joint_distribution,
+                           max_flattening_rank, mixture_distribution,
+                           read_distribution)
     if args.rbm_op == "joint":
         _require(args, params=args.params)
         params = ExpParams.build(*_load_params(
@@ -270,6 +276,8 @@ def cmd_rbm(args) -> None:
 
 
 def cmd_tropvar(args) -> None:
+    from . import polynomials as poly_mod
+    from .tropical import read_tropical_point
     if args.tropvar_op == "minors":
         _require(args, split=args.split)
         split = [int(x) for x in args.split.split(",")]
@@ -312,6 +320,7 @@ def cmd_tropvar(args) -> None:
 
 
 def cmd_fan(args) -> None:
+    from . import fan as fan_mod
     if args.fan_op == "triangulations":
         tris = fan_mod.enumerate_triangulations_3cube()
         if args.count:
@@ -482,8 +491,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args.handler(args)
         return 0
-    except (ValueError, OSError, json.JSONDecodeError,
-            AmbiguousArgmax) as exc:
+    except BrokenPipeError:
+        # the reader of stdout has gone: end quietly with SIGPIPE's code,
+        # and let the flush at shutdown write to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, RuntimeError) as exc:

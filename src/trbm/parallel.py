@@ -7,6 +7,7 @@ preserves input order, so results are identical for any worker count.
 from __future__ import annotations
 
 import os
+# eager: a census pays for the pool at start-up, and tests patch this name
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 

@@ -1,12 +1,15 @@
-"""Seeded random inputs and file readers that only the tests use."""
+"""Seeded random inputs, file readers and the environment of fresh
+interpreters, which only the tests use."""
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction as Q
 from math import lcm
 from random import Random
 from typing import Iterable, TextIO
 
+import trbm
 from trbm.cube import Slicing, subset_mask
 from trbm.linalg import Matrix
 from trbm.rbmstats import ExpParams, MixtureParams
@@ -113,3 +116,12 @@ def rref(m: Matrix) -> tuple[list[list[Q]], list[int]]:
         if r == nrows:
             break
     return a, pivots
+
+
+def fresh_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports the trbm under
+    test: ``os.environ`` with the directory of the package first on
+    PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trbm.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))

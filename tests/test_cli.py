@@ -1,5 +1,7 @@
 import io
 import json
+import subprocess
+import sys
 from functools import reduce
 from importlib import resources
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 pytest.importorskip("jsonschema")
 import jsonschema  # noqa: E402
 
-from helpers import count_builds  # noqa: E402
+from helpers import count_builds, fresh_env  # noqa: E402
 from trbm.cli import build_parser, main  # noqa: E402
 from trbm.cube import write_vertex_values  # noqa: E402
 from trbm.rbmstats import hadamard_product, read_distribution  # noqa: E402
@@ -324,6 +326,33 @@ def test_unknown_command_exits_2(capsys):
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "member-tm1", "--point", "/no/such/file")
     assert code == 2 and err
+
+
+def test_out_to_a_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "out.txt"
+    code, printed, err = run(capsys, "zonotope-facets", "--n", "2",
+                             "--out", str(out))
+    assert (code, printed) == (2, "") and err.startswith("error: ")
+
+
+def test_reader_closing_the_pipe_ends_quietly_with_141():
+    # the n = 4 JSON listing is 248 KB, well over the 64 KiB a pipe
+    # holds, so the command is still writing when its reader goes; stdout
+    # is buffered as by default, since an unbuffered write that large may
+    # end short with no error
+    env = fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from trbm.cli import main; sys.exit(main())",
+         "slicings", "--n", "4", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    code = proc.wait(timeout=120)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (first, code, err) == (b"{\n", 141, b"")
 
 
 def test_missing_operation_arguments_exit_2(capsys):
