@@ -53,8 +53,10 @@ def _emit(doc, args, text) -> None:
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
         if callable(text):
             text(out)
-        else:
-            out.write(text + "\n")
+        else:  # in pieces: one unbuffered write may end short, unreported
+            for i in range(0, len(text), 1 << 16):
+                out.write(text[i:i + (1 << 16)])
+            out.write("\n")
 
 
 def _read(path: str, reader):

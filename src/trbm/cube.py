@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations, permutations, product
 from math import gcd
 from operator import mul
@@ -268,30 +268,19 @@ def _refuted_through(pos: int, k: int, n: int) -> bool:
     return False
 
 
-def _brute_chunk(args) -> list[tuple[int, Sequence[int], int]]:
-    n, start, stop = args
-    full = (1 << (1 << n)) - 1
-    found = []
-    for mask in range(start, stop):
-        if mask > (full ^ mask):
-            continue  # complements are derived, not re-solved
-        witness = _separation(mask, n)
-        if witness is not None:
-            found.append((mask, *witness))
-    return found
-
-
 def _enumerate_brute(n: int,
                      threads: int) -> list[tuple[int, Sequence[int], int]]:
     """The leaves (mask, y, den) of the vertex subsets that
-    :func:`_separation` separates, in (cardinality, mask) order; the
-    complement of a leaf's mask has the leaf (full ^ mask, -y, den)."""
+    :func:`_separation` separates, in (cardinality, mask) order.  One
+    :func:`parallel_map` decides the masks below total / 2: full =
+    total - 1 is odd, so they are the lesser of each mask and its
+    complement full ^ mask, whose leaf is (full ^ mask, -y, den)."""
     total = 1 << (1 << n)
-    step = max(1, total // 256) if workers(threads) > 1 else total
-    chunks = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
     leaves = []
-    for found in parallel_map(_brute_chunk, chunks, threads):
-        for mask, y, den in found:
+    for mask, witness in enumerate(parallel_map(
+            partial(_separation, n=n), range(total // 2), threads)):
+        if witness is not None:
+            y, den = witness
             leaves += [(mask, y, den),
                        ((total - 1) ^ mask, [-x for x in y], den)]
     leaves.sort(key=lambda leaf: (leaf[0].bit_count(), leaf[0]))

@@ -344,27 +344,14 @@ class _Tableau:
         return other
 
     def add(self, a, s) -> None:
-        """Append the row a.y >= s t in the current basis, then go on
-        with the degenerate phase.
-
-        The row -a.u + a.w + s t + slack = 0 has coefficient c_l on the
-        structural label l.  A nonbasic l in column q contributes
-        ``den c_l e_q``; an l basic in row R contributes ``-c_l R``,
-        since den x_l equals R_rhs minus R's nonbasic terms.  Every
-        constraint right-hand side is 0 here, so the new row's is too.
-        """
-        nstruct = 2 * self.nvars + 1
+        """Append a.y >= s t, the row -a.u + a.w + s t + slack = 0, in
+        the current basis (:func:`_basis_row`; every constraint row has
+        right-hand side 0 here), then go on with the degenerate phase."""
         coef = [-x for x in a] + [*a, s]
-        row = [self.den * coef[label] if label < nstruct else 0
-               for label in self.nonbasic] + [0]
-        for i, label in enumerate(self.basis):
-            c = coef[label] if label < nstruct else 0
-            if c:
-                for q, r in enumerate(self.tab[i]):
-                    if r:
-                        row[q] -= c * r
-        self.tab.insert(self.ncon, row)
-        self.basis.append(nstruct + self.ncon)
+        self.tab.insert(self.ncon, _basis_row(self.tab, self.basis,
+                                              self.nonbasic, coef, 0,
+                                              self.den))
+        self.basis.append(len(coef) + self.ncon)
         self._degenerate()
 
     def _degenerate(self) -> None:
@@ -399,8 +386,9 @@ class _Tableau:
         objective first; the last, after which Bland's rule finds no
         entering column, updates nothing else but the right-hand sides
         read for y.  Any other pivot is made on the whole tableau, with
-        its box rows built (:func:`_box_row`) before the first.  The
-        stored tableau is not written, so it can take more rows after.
+        its box rows u_j, w_j <= box built by :func:`_basis_row` before
+        the first.  The stored tableau is not written, so it can take
+        more rows after.
         """
         tab, basis, nonbasic = self.tab, self.basis, self.nonbasic
         den, enter, nvars = self.den, self.enter, self.nvars
@@ -421,8 +409,8 @@ class _Tableau:
             if nxt is None:
                 break
             if tab is self.tab:  # the box rows are not built yet
-                rows = [_box_row(tab, basis, nonbasic, label, box, den)
-                        for label in range(2 * nvars)]
+                rows = [_basis_row(tab, basis, nonbasic, [0] * j + [1], box,
+                                   den) for j in range(2 * nvars)]
                 tab = [*tab[:ncon], *rows, tab[-1]]
                 basis = basis + [first + ncon + j for j in range(2 * nvars)]
                 nonbasic = list(nonbasic)
@@ -454,27 +442,27 @@ def _entering(obj, nonbasic) -> Optional[int]:
     return enter
 
 
-def _box_row(tab, basis, nonbasic, label, box, den):
-    """The row of u_j <= box or w_j <= box (``label`` j or nvars + j) in
-    the current basis, with its slack basic.
-
-    A nonbasic label in column q gives ``den e_q | den box``; a label
-    basic in row R gives ``-R | den box - R_rhs``, since then den u_j
-    equals R_rhs minus R's nonbasic terms.
+def _basis_row(tab, basis, nonbasic, coef, rhs, den):
+    """The row sum_l coef_l x_l + slack = rhs in the current basis, its
+    slack basic (labels from len(coef) on have coefficient 0): a nonbasic
+    l in column q gives ``den coef_l`` at q, and an l basic in row R
+    gives ``-coef_l R``, since den x_l is R_rhs minus R's nonbasic terms.
     """
-    if label in basis:
-        row = [-x for x in tab[basis.index(label)]]
-        row[-1] += den * box
-    else:
-        row = [0] * (len(nonbasic) + 1)
-        row[nonbasic.index(label)] = den
-        row[-1] = den * box
+    size = len(coef)
+    row = [den * coef[label] if label < size else 0
+           for label in nonbasic] + [den * rhs]
+    for i, label in enumerate(basis):
+        c = coef[label] if label < size else 0
+        if c:
+            for q, r in enumerate(tab[i]):
+                if r:
+                    row[q] -= c * r
     return row
 
 
 def _box_pivot(tab, basis, nonbasic, nvars, box, den, enter):
     """The first box-phase pivot for column ``enter``: the index the
-    leaving box row has among all rows, and that row (:func:`_box_row`).
+    leaving box row has among all rows, and that row (:func:`_basis_row`).
 
     Every constraint row has right-hand side 0 and an entry <= 0 in
     ``enter``, and every box row right-hand side ``den box``; so the
@@ -492,7 +480,8 @@ def _box_pivot(tab, basis, nonbasic, nvars, box, den, enter):
     if best <= 0:
         raise RuntimeError("margin program unbounded despite box")
     label = entries.index(best)
-    return len(basis) + label, _box_row(tab, basis, nonbasic, label, box, den)
+    return len(basis) + label, _basis_row(tab, basis, nonbasic,
+                                          [0] * label + [1], box, den)
 
 
 def _ratio_test(tab, basis, enter) -> int:

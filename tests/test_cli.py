@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from functools import reduce
 from importlib import resources
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 pytest.importorskip("jsonschema")
 import jsonschema  # noqa: E402
 
+import trbm.cli  # noqa: E402
 from helpers import count_builds, fresh_env  # noqa: E402
 from trbm.cli import build_parser, main  # noqa: E402
 from trbm.cube import write_vertex_values  # noqa: E402
@@ -272,6 +274,28 @@ def test_rbm_pipeline(tmp_path, capsys):
     assert code == 0 and len(out.split()) == 4
 
 
+def test_rbm_check_fails_the_covariance_binomial(tmp_path, capsys):
+    # the uniform n = 4 distribution perturbed by 1/8 s_0 s_1 and
+    # 1/8 s_2 s_3 (s_i = +-1): sigma_01 sigma_23 = 1/1024, but
+    # sigma_02 sigma_13 = 0
+    dist_file = tmp_path / "d.txt"
+    dist_file.write_text("".join(
+        f"{Fraction(8 + s[0] * s[1] + s[2] * s[3], 128)}\n" for v in range(16)
+        for s in [[1 - 2 * (v >> i & 1) for i in range(4)]]))
+    doc = run_json(capsys, "rbm_check", "rbm", "check", "--dist",
+                   str(dist_file))
+    assert (doc["triple_sign_ok"], doc["covariance_binomial_ok"],
+            doc["verdict"]) == (True, False, "fail")
+
+
+def test_an_internal_fault_exits_1_in_one_line(monkeypatch, capsys):
+    def fault(n):
+        raise AssertionError("boom")
+    monkeypatch.setattr(trbm.cli, "count_zonotope_facets", fault)
+    assert run(capsys, "zonotope-facets", "--n", "2") \
+        == (1, "", "internal error: boom\n")
+
+
 def test_tropvar_commands(tmp_path, capsys):
     doc = run_json(capsys, "minors", "tropvar", "minors", "--n", "4",
                    "--split", "1,2")
@@ -335,13 +359,17 @@ def test_out_to_a_missing_directory_exits_2(tmp_path, capsys):
     assert (code, printed) == (2, "") and err.startswith("error: ")
 
 
-def test_reader_closing_the_pipe_ends_quietly_with_141():
+@pytest.mark.parametrize("unbuffered", [
+    pytest.param(None, id="buffered"), pytest.param("1", id="unbuffered")])
+def test_reader_closing_the_pipe_ends_quietly_with_141(unbuffered):
     # the n = 4 JSON listing is 248 KB, well over the 64 KiB a pipe
-    # holds, so the command is still writing when its reader goes; stdout
-    # is buffered as by default, since an unbuffered write that large may
-    # end short with no error
+    # holds, so the command is still writing when its reader goes; an
+    # unbuffered stdout writes each piece straight to the pipe, where one
+    # write of the whole listing would end short with no error
     env = fresh_env()
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
     proc = subprocess.Popen(
         [sys.executable, "-c",
          "import sys; from trbm.cli import main; sys.exit(main())",
@@ -800,6 +828,15 @@ def test_codes_bounds_at_the_ends_of_its_range(capsys):
                  {"p.json": json.dumps({"beta": ["0"], "gamma": ["1"],
                                         "omega": [["1"]]})},
                  "parameters must be positive", id="joint-zero"),
+    pytest.param(["rbm", "joint", "--params", "p.json"],
+                 {"p.json": json.dumps({"beta": ["1"], "gamma": ["1"],
+                                        "omega": [["1", "1"]]})},
+                 "shape mismatch", id="joint-omega-row"),
+    pytest.param(["rbm", "flatten-rank", "--dist", "d.txt"],
+                 {"d.txt": "1/3\n" * 3}, "expected 2^n values",
+                 id="flatten-three-values"),
+    pytest.param(["member-tm1", "--point", "p.txt"], {"p.txt": "0\n" * 3},
+                 "expected 2^n values", id="member-three-values"),
     pytest.param(["rbm", "flatten-rank", "--dist", "d.txt"],
                  {"d.txt": "1/128\n" * 128},
                  "all splits enumerated; needs n <= 6", id="flatten-n7"),

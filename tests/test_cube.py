@@ -211,6 +211,8 @@ def test_omega_and_c_are_the_reduced_fractions():
     assert s.witness_text() == ["-2", "1", "3/2"]
     with pytest.raises(ValueError, match="denominator"):
         Slicing(2, 0b1000, (-2, -3, 4), -2)
+    with pytest.raises(ValueError, match="witness length mismatch"):
+        Slicing(2, 0b1000, (2, 3), 2)
 
 
 def test_slicing_file_roundtrip():
@@ -407,6 +409,8 @@ def test_slicing_check_on_a_ball_of_the_15_cube():
 def test_slicing_rejects_a_non_vertex():
     with pytest.raises(ValueError, match="non-vertex"):
         slicing(2, {3, 4}, (Q(1), Q(1)), Q(-3, 2))
+    with pytest.raises(ValueError, match="non-vertex"):
+        is_slicing({16}, 4)
 
 
 def test_separation_witness_is_rechecked(monkeypatch):

@@ -108,6 +108,8 @@ def lp_face_to_face(a, b):
 def test_trivial_subdivision():
     sub = regular_subdivision_from_lift([0] * 8)
     assert sub.cells == frozenset({frozenset(range(8))})
+    with pytest.raises(ValueError, match="one height per vertex"):
+        regular_subdivision_from_lift([0] * 3)
 
 
 def test_corner_cut_subdivision():

@@ -189,6 +189,8 @@ def test_zero_and_empty_shapes():
     assert solve(zero, [0, 1, 0]) is None
     assert rank(Matrix([[0]])) == 0 and nullspace(Matrix([[0]])) == [[Q(1)]]
     assert solve(Matrix([[Q(2, 3)]]), [Q(1, 2)]) == [Q(3, 4)]
+    with pytest.raises(ValueError, match="ragged rows"):
+        Matrix([[1, 2], [3]])
 
 
 def test_matrix_keeps_ints_and_converts_other_scalars():

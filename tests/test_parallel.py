@@ -56,7 +56,8 @@ def test_census_starts_at_most_one_pool(monkeypatch):
 def test_batches_follow_the_worker_count(monkeypatch):
     # --threads above the CPU count cuts the batches of the workers that
     # run: on two CPUs the C(104, 2) = 5,356 pairs go in chunks of
-    # 5,356 // 16 = 334 (17 batches), and on one CPU brute is one chunk
+    # 5,356 // 16 = 334 (17 batches); brute hands parallel_map its masks
+    # below 2^8 / 2 = 128 one by one, and leaves the batching to it
     cut = []
 
     def recording(fn, items, threads=1):
@@ -71,4 +72,4 @@ def test_batches_follow_the_worker_count(monkeypatch):
         == _search_exhaustive(3, 2, leaves, 2)
     monkeypatch.setattr(trbm.parallel.os, "cpu_count", lambda: 1)
     assert _enumerate_brute(3, 64) == _enumerate_brute(3, 1)
-    assert cut == [17, 17, 1, 1]
+    assert cut == [17, 17, 128, 128]
