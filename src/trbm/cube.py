@@ -141,7 +141,7 @@ def is_slicing(subset: Iterable[int], n: int) -> Optional[Slicing]:
     margin LP over the rows of all vertices in index order decides it;
     ``solve_feasibility`` hands the LP these integer rows and this box
     for the same system, so the witness is the one it returns.  The
-    witness is re-checked by substitution in every row.  The census
+    witness is re-checked by its margin at every vertex.  The census
     splits regions by :func:`_split` instead.
     """
     positive = frozenset(subset)
@@ -163,7 +163,8 @@ def _separation(pos: int, n: int) -> Optional[tuple[Sequence[int], int]]:
         return None
     rows = _signed_rows(n)
     strict = [rows[v][pos >> v & 1] for v in all_vertices(n)]
-    return _rechecked(_margin_lp(strict, n + 1, _box(n + 1)), strict)
+    return _rechecked(_margin_lp(strict, n + 1, _box(n + 1)), pos,
+                      (1 << n) - 1, n)
 
 
 @lru_cache(maxsize=None)
@@ -175,18 +176,23 @@ def _signed_rows(n: int) -> tuple[tuple[tuple, tuple], ...]:
     return tuple(((tuple(-x for x in p), 1), (p, 1)) for p in planes)
 
 
-def _rechecked(result, strict):
-    """The witness of the margin LP's ``result`` (witness, pi), once its
-    y is checked by integer substitution to be positive on every row
-    (a, s) of ``strict``; or None, once the Farkas multipliers pi are
-    checked to refute the rows a.y > 0 (:meth:`lp.Farkas.refutes`)."""
+def _rechecked(result, pos: int, k: int, n: int):
+    """The witness of the margin LP's ``result`` (witness, pi) for the
+    split ``pos`` of the vertices 0..k, once y is checked by integer
+    substitution to have margins of the signs of ``pos`` there (they set
+    only the last k.bit_length() coordinates); or None, once the Farkas
+    multipliers pi are checked to refute their rows a.y > 0."""
     witness, pi = result
     if witness is None:
-        rows = tuple((*a, 0) for a, _ in strict)
-        if not Farkas(tuple(pi), (), ()).refutes(
-                LinearSystem(len(rows[0]) - 1, rows)):
+        rows = tuple((*_signed_rows(n)[v][pos >> v & 1][0], 0)
+                     for v in range(k + 1))
+        if not Farkas(tuple(pi), (), ()).refutes(LinearSystem(n + 1, rows)):
             raise AssertionError("Farkas certificate failed re-validation")
-    elif not all(sum(map(mul, a, witness[0])) > 0 for a, _ in strict):
+        return None
+    y = witness[0]
+    margins = affine_values(y[n], y[n - k.bit_length():n])[:k + 1]
+    if 0 in margins or pos != sum(
+            1 << v for v, x in enumerate(margins) if x > 0):
         raise AssertionError("separation witness failed re-validation")
     return witness
 
@@ -231,25 +237,25 @@ def _certified(quad, pos_mask: int, neg_mask: int, n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _through(k: int) -> tuple[tuple[int, int, int], ...]:
-    """The triples (b, c, d) of vertices below k, c < d, with k + b =
-    c + d as 0/1 vectors: the parallelograms through vertex k of the
-    vertices 0..k (for indices, k & b == c & d and k | b == c | d).
+def _through(k: int) -> tuple[tuple[int, int, int, int, int], ...]:
+    """The parallelograms (b, c, d, 1 << b, 1 << c | 1 << d) through
+    vertex k of the vertices 0..k: b, c < d below k with k + b = c + d
+    as 0/1 vectors (for indices, k & b == c & d and k | b == c | d).
 
     b = k would force c = d = k, and b = c or b = d the other to be k,
     so the four vertices are distinct.  The table does not depend on n:
     the sums only see the bits of indices below k.
     """
-    triples = []
+    table = []
     for b in range(k):
         low, diff = k & b, k ^ b
         sub = diff
         while sub:  # c = low | sub and d = low | (diff ^ sub)
             c, d = low | sub, low | diff ^ sub
             if c < d < k:
-                triples.append((b, c, d))
+                table.append((b, c, d, 1 << b, 1 << c | 1 << d))
             sub = (sub - 1) & diff
-    return tuple(triples)
+    return tuple(table)
 
 
 def _refuted_through(pos: int, k: int, n: int) -> bool:
@@ -261,8 +267,8 @@ def _refuted_through(pos: int, k: int, n: int) -> bool:
     neg = ((1 << (k + 1)) - 1) ^ pos
     positive = pos >> k & 1
     same = pos if positive else neg  # the vertices on k's side
-    for b, c, d in _through(k):
-        if same >> b & 1 and not (same >> c | same >> d) & 1:
+    for b, c, d, b_mask, cd_mask in _through(k):
+        if same & b_mask and not same & cd_mask:
             quad = (k, b, c, d) if positive else (c, d, k, b)
             return _certified(quad, pos, neg, n)
     return False
@@ -369,7 +375,7 @@ def _split(n: int, k: int, pos: int, lp: _Tableau):
     Otherwise ``lp`` takes the rows j..k-1 in place and a copy takes row
     k, so the LP solved is the one :func:`is_slicing` would solve for
     the vertices 0..k, with the same witness; the witness is re-checked
-    on every row.
+    by its margin at each of those vertices.
     """
     if _refuted_through(pos, k, n):
         return None
@@ -378,8 +384,7 @@ def _split(n: int, k: int, pos: int, lp: _Tableau):
         lp.add(*rows[lp.ncon][pos >> lp.ncon & 1])
     lp = lp.copy()
     lp.add(*rows[k][pos >> k & 1])
-    strict = [rows[v][pos >> v & 1] for v in range(k + 1)]
-    witness = _rechecked(lp.solve(_box(n + 1)), strict)
+    witness = _rechecked(lp.solve(_box(n + 1)), pos, k, n)
     return None if witness is None else (*witness, lp)
 
 

@@ -37,15 +37,19 @@ tableau, which holds every box row from the start (the tests' oracle):
   and updates only the objective and the right-hand sides of the basic
   u, w: the optimum t > 0 is then known, and y is all that is read.  Any
   other box-phase pivot first builds every box row from the basis;
-* a pivot updates only the columns where its row is nonzero, and leaves
-  a row with 0 in the pivot column as it is when the pivot equals
-  ``den``.
+* a pivot updates only the columns where its row is nonzero and, when
+  it equals ``den``, only the rows with an entry f != 0 in its column,
+  each entry as ``row[q] - f y // den``;
+* a row is built in the basis from its nonzero coefficients alone
+  (:func:`_basis_row`): a box row reads at most one basic row.
 
 Row addition: a tableau stopped at the end of that degenerate phase
 can take one more constraint row, built from its basis.  The new slack
 has the largest label, so Bland's ratio test passed it over at every
 pivot made so far; rows added one at a time give the pivots, ``den`` and
-witness of the same rows built at once (:class:`_Tableau`).
+witness of the same rows built at once (:class:`_Tableau`).  Only the
+new row can bound the entering column, so the phase goes on only if
+that entry is positive, and nothing is scanned otherwise.
 
 Infeasibility comes with a Farkas certificate.  At the optimum t = 0
 the final objective row holds the dual multipliers: minus its entry in
@@ -63,7 +67,8 @@ Returned witnesses are re-checked by direct substitution before being
 handed back, and certificates the same way (:meth:`Farkas.refutes`).
 The slicing queries of :mod:`trbm.cube` hand their integer rows to
 :func:`_margin_lp` or :class:`_Tableau` directly, with the same box
-(:func:`_box`), and re-check the witness or the multipliers themselves.
+(:func:`_box`), and re-check the multipliers themselves, and the witness
+by its margins (``cube.affine_values``) at every vertex of its rows.
 """
 
 from __future__ import annotations
@@ -316,7 +321,8 @@ class _Tableau:
     determines its fraction-free tableau, so the row built from the
     basis is the one those pivots would have left.  Rows added one at a
     time therefore give the pivots, ``den`` and witness of the same rows
-    built at once.  :meth:`solve` leaves the tableau as it is, and a
+    built at once.  Adding a row leaves the objective, and so ``enter``,
+    as it is.  :meth:`solve` leaves the tableau as it is, and a
     :meth:`copy` shares its rows, since no step writes into a row.
     """
 
@@ -346,13 +352,18 @@ class _Tableau:
     def add(self, a, s) -> None:
         """Append a.y >= s t, the row -a.u + a.w + s t + slack = 0, in
         the current basis (:func:`_basis_row`; every constraint row has
-        right-hand side 0 here), then go on with the degenerate phase."""
+        right-hand side 0 here).  The degenerate phase goes on only if
+        the new row bounds column ``enter``, with a pivot on that row."""
+        tab, basis, nonbasic = self.tab, self.basis, self.nonbasic
         coef = [-x for x in a] + [*a, s]
-        self.tab.insert(self.ncon, _basis_row(self.tab, self.basis,
-                                              self.nonbasic, coef, 0,
-                                              self.den))
-        self.basis.append(len(coef) + self.ncon)
-        self._degenerate()
+        leave, enter = len(basis), self.enter
+        tab.insert(leave, _basis_row(tab, basis, nonbasic, [
+            (label, c) for label, c in enumerate(coef) if c], 0, self.den))
+        basis.append(len(coef) + leave)
+        if enter is not None and tab[leave][enter] > 0:
+            self.den = _pivot(tab, leave, enter, self.den)
+            basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
+            self._degenerate()
 
     def _degenerate(self) -> None:
         """Degenerate pivots until the objective has no positive entry
@@ -409,8 +420,8 @@ class _Tableau:
             if nxt is None:
                 break
             if tab is self.tab:  # the box rows are not built yet
-                rows = [_basis_row(tab, basis, nonbasic, [0] * j + [1], box,
-                                   den) for j in range(2 * nvars)]
+                rows = [_basis_row(tab, basis, nonbasic, [(j, 1)], box, den)
+                        for j in range(2 * nvars)]
                 tab = [*tab[:ncon], *rows, tab[-1]]
                 basis = basis + [first + ncon + j for j in range(2 * nvars)]
                 nonbasic = list(nonbasic)
@@ -442,19 +453,18 @@ def _entering(obj, nonbasic) -> Optional[int]:
     return enter
 
 
-def _basis_row(tab, basis, nonbasic, coef, rhs, den):
+def _basis_row(tab, basis, nonbasic, terms, rhs, den):
     """The row sum_l coef_l x_l + slack = rhs in the current basis, its
-    slack basic (labels from len(coef) on have coefficient 0): a nonbasic
+    slack basic, from the pairs (l, coef_l) with coef_l != 0: a nonbasic
     l in column q gives ``den coef_l`` at q, and an l basic in row R
     gives ``-coef_l R``, since den x_l is R_rhs minus R's nonbasic terms.
     """
-    size = len(coef)
-    row = [den * coef[label] if label < size else 0
-           for label in nonbasic] + [den * rhs]
-    for i, label in enumerate(basis):
-        c = coef[label] if label < size else 0
-        if c:
-            for q, r in enumerate(tab[i]):
+    row = [0] * len(nonbasic) + [den * rhs]
+    for label, c in terms:
+        if label in nonbasic:
+            row[nonbasic.index(label)] += den * c
+        else:
+            for q, r in enumerate(tab[basis.index(label)]):
                 if r:
                     row[q] -= c * r
     return row
@@ -481,7 +491,7 @@ def _box_pivot(tab, basis, nonbasic, nvars, box, den, enter):
         raise RuntimeError("margin program unbounded despite box")
     label = entries.index(best)
     return len(basis) + label, _basis_row(tab, basis, nonbasic,
-                                          [0] * label + [1], box, den)
+                                          [(label, 1)], box, den)
 
 
 def _ratio_test(tab, basis, enter) -> int:
@@ -511,9 +521,10 @@ def _pivot(tab, leave, enter, den) -> int:
     Each row becomes (piv row - f prow) / den, with f its entry in
     ``enter``: every division is exact.  Only the columns where the
     pivot row ``prow`` is nonzero need f; a row with f = 0 only scales,
-    and is left as it is when piv = den.  The leaving variable takes
-    over column ``enter``, where its row holds ``den``.  Changed rows
-    are replaced, never written into, so tableaux may share rows.
+    and is left as it is when piv = den, which then also divides f prow.
+    The leaving variable takes over column ``enter``, where its row holds
+    ``den``.  Changed rows are replaced, never written into, so tableaux
+    may share rows.
     """
     prow = tab[leave]
     piv = prow[enter]
@@ -523,10 +534,13 @@ def _pivot(tab, leave, enter, den) -> int:
         if i == leave or not f and piv == den:
             continue
         new = row[:] if piv == den else [piv * x // den for x in row]
-        if f:
+        if piv == den:
+            for q, y in cols:
+                new[q] = row[q] - f * y // den
+        elif f:
             for q, y in cols:
                 new[q] = (piv * row[q] - f * y) // den
-            new[enter] = -f
+        new[enter] = -f
         tab[i] = new
     tab[leave] = prow = list(prow)
     prow[enter] = den

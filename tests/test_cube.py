@@ -1,12 +1,15 @@
 import io
+import os
+from collections import Counter
 from fractions import Fraction as Q
+from operator import add
 from random import Random
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from helpers import count_builds, read_slicings, slicing
-from trbm import cube
+from trbm import cube, lp
 from trbm.codes import ball_slicing
 from trbm.cube import (Slicing, _enumerate_arrangement, _enumerate_brute,
                        _parallelogram, affine_values, all_vertices,
@@ -308,12 +311,31 @@ def test_refutation_through_the_new_vertex():
 
 def test_corrupted_parallelogram_certificate_raises(monkeypatch):
     # 3 + 1 != 0 + 2 as vectors of the square, though the indices agree
-    monkeypatch.setattr(cube, "_through", lambda k: ((1, 0, 2),))
+    monkeypatch.setattr(cube, "_through",
+                        lambda k: ((1, 0, 2, 1 << 1, 1 << 0 | 1 << 2),))
     for pos in (0b1010, 0b0101):  # vertex 3 on either side
         with pytest.raises(AssertionError, match="re-validation"):
             cube._refuted_through(pos, 3, 2)
     with pytest.raises(AssertionError, match="re-validation"):
         _enumerate_arrangement(2, 1)
+
+
+def test_parallelogram_table_matches_brute_force():
+    # the parallelograms k + b = c + d through vertex k, with b < k and
+    # c < d < k, found by summing 0/1 vectors of 6 coordinates
+    vec = [vertex_coords(v, 6) for v in range(64)]
+    assert cube._through(3) == ((0, 1, 2, 0b1, 0b110),)  # 11 + 00 = 01 + 10
+    for k in range(64):
+        pairs = {}
+        for c in range(k):
+            for d in range(c + 1, k):
+                pairs.setdefault(tuple(map(add, vec[c], vec[d])),
+                                 []).append((c, d))
+        expected = sorted((b, c, d, 1 << b, 1 << c | 1 << d)
+                          for b in range(k)
+                          for c, d in pairs.get(tuple(map(add, vec[k],
+                                                          vec[b])), ()))
+        assert sorted(cube._through(k)) == expected
 
 
 def test_slicing_rejects_zero_and_negative_near_misses():
@@ -428,6 +450,87 @@ def test_separation_witness_is_rechecked(monkeypatch):
         _enumerate_arrangement(2, 1)
 
 
+def flipped_split(n, k, target):
+    """A split ``pos`` of the vertices 0..k, cut from a slicing and
+    neither empty nor full, whose flip at vertex ``target`` is separable
+    too; and the flip's margin LP witness, whose margins have the signs
+    of ``pos`` at every vertex 0..k but ``target``."""
+    inserted = (1 << (k + 1)) - 1
+    splits = {s.mask & inserted for s in enumerate_slicings(n)}
+    pos = min(p for p in splits if 0 < p < inserted
+              and p ^ 1 << target in splits)
+    rows = cube._signed_rows(n)
+    flip = [rows[v][(pos ^ 1 << target) >> v & 1] for v in range(k + 1)]
+    witness, _ = cube._margin_lp(flip, n + 1, cube._box(n + 1))
+    margins = affine_values(witness[0][n], witness[0][:n])[:k + 1]
+    assert 0 not in margins and [v for v, m in enumerate(margins)
+                                 if (m > 0) != (pos >> v & 1)] == [target]
+    return pos, witness
+
+
+@pytest.mark.parametrize("n, k, target", [
+    (3, 5, 5),  # the split's own vertex k
+    (3, 6, 0),  # vertex 0
+    (4, 8, 8),  # k = 8 is the first vertex that sets coordinate 1
+    (4, 12, 12),
+])
+def test_split_recheck_covers_every_vertex(monkeypatch, n, k, target):
+    # a witness wrong at exactly one vertex of the split fails the
+    # re-check, wherever that vertex lies
+    pos, witness = flipped_split(n, k, target)
+    monkeypatch.setattr(_Tableau, "solve", lambda tableau, box: (witness,
+                                                                 None))
+    with pytest.raises(AssertionError, match="re-validation"):
+        cube._split(n, k, pos, _Tableau(n + 1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_is_slicing_recheck_covers_the_last_vertex(monkeypatch, n):
+    last = (1 << n) - 1
+    pos, witness = flipped_split(n, last, last)
+    monkeypatch.setattr(_Tableau, "solve", lambda tableau, box: (witness,
+                                                                 None))
+    with pytest.raises(AssertionError, match="re-validation"):
+        is_slicing([v for v in all_vertices(n) if pos >> v & 1], n)
+
+
+def census_work(n):
+    """The leaves of the n-cube census walk on one thread, and the LPs
+    it solved, the infeasible ones and its pivots (``lp._pivot``)."""
+    work, solve, pivot = Counter(), _Tableau.solve, lp._pivot
+
+    def solved(tableau, box):
+        result = solve(tableau, box)
+        work["lps"] += 1
+        work["infeasible"] += result[0] is None
+        return result
+
+    def pivoted(*args):
+        work["pivots"] += 1
+        return pivot(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Tableau, "solve", solved)
+        patch.setattr(lp, "_pivot", pivoted)
+        return len(_enumerate_arrangement(n, 1)), work
+
+
+def test_census_solves_one_lp_per_leaf_and_none_is_infeasible():
+    # count, don't assume: every split left after the parallelogram test
+    # has been feasible so far; the pivots pin the LP path
+    for n, leaves, pivots in ((1, 4, 4), (2, 14, 18), (3, 104, 170),
+                              (4, 1882, 3398)):
+        assert census_work(n) == (
+            leaves, {"lps": leaves, "infeasible": 0, "pivots": pivots})
+
+
+@pytest.mark.skipif(not os.environ.get("TRBM_ACCEPT_LONG"),
+                    reason="long mode: set TRBM_ACCEPT_LONG=1")
+def test_census_of_the_5_cube_has_no_infeasible_lp():
+    assert census_work(5) == (
+        94572, {"lps": 94592, "infeasible": 0, "pivots": 172263})
+
+
 def test_separation_certificate_is_rechecked():
     # the XOR split of the square reaches no LP in is_slicing (a
     # parallelogram refutes it first), so its margin LP is run here
@@ -435,12 +538,12 @@ def test_separation_certificate_is_rechecked():
             for v, side in enumerate((1, 0, 0, 1))]
     witness, pi = cube._margin_lp(rows, 3, cube._box(3))
     assert witness is None and any(pi)
-    assert cube._rechecked((None, pi), rows) is None
+    assert cube._rechecked((None, pi), 0b1001, 3, 2) is None
     for i in range(len(pi)):
         tampered = list(pi)
         tampered[i] += 1
         with pytest.raises(AssertionError, match="re-validation"):
-            cube._rechecked((None, tampered), rows)
+            cube._rechecked((None, tampered), 0b1001, 3, 2)
 
 
 def test_is_slicing_witnesses_are_those_of_solve_feasibility():
