@@ -10,8 +10,9 @@ smallest code whose radius-1 balls cover all strings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import ceil, floor, log2
+from itertools import combinations, repeat
+from math import ceil, comb, floor, log2
+from operator import xor
 from typing import Optional, TextIO
 
 from .cube import Slicing, all_vertices, subset_mask, vertex_coords
@@ -51,16 +52,25 @@ class BinaryCode:
 
 
 def min_distance(code: BinaryCode) -> int:
-    """Minimum pairwise Hamming distance; undefined for singleton codes."""
-    words = code.sorted_words()
+    """Minimum pairwise Hamming distance; undefined for singleton codes.
+
+    For d = 1, 2, ... the search looks up a ^ e for every codeword a and
+    every pattern e of weight d, |C| C(n, d) lookups.  Once the lookups
+    would pass the |C|(|C| - 1)/2 pairs, it compares the pairs instead.
+    """
+    words, n = code.words, code.n
     if len(words) < 2:
         raise ValueError("minimum distance undefined for a singleton code")
-    best = code.n + 1
-    for i, a in enumerate(words[:-1]):
-        best = min(best, min((a ^ b).bit_count() for b in words[i + 1:]))
-        if best == 1:
-            return best
-    return best
+    pairs, work = len(words) * (len(words) - 1) // 2, 0
+    for d in range(1, n + 1):
+        work += len(words) * comb(n, d)
+        if work > pairs:
+            break
+        for bits in combinations(range(n), d):
+            e = subset_mask(bits)
+            if not words.isdisjoint(map(xor, words, repeat(e))):
+                return d
+    return min((a ^ b).bit_count() for a, b in combinations(words, 2))
 
 
 def covering_radius(code: BinaryCode) -> int:

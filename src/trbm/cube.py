@@ -16,7 +16,8 @@ degenerate phase, and a split at vertex k copies it and adds one row
 (:func:`_split`).  Its subtrees share one worker pool.  Its leaves are
 integer witnesses (mask, y, den), the only form in which the census is
 kept: a count reads how many there are, and a Slicing is built from a
-leaf only where one is returned.
+leaf only where one is returned.  Each census decides one set of each
+complementary pair, and :func:`_with_complements` adds the other.
 """
 
 from __future__ import annotations
@@ -274,21 +275,22 @@ def _refuted_through(pos: int, k: int, n: int) -> bool:
     return False
 
 
-def _enumerate_brute(n: int,
-                     threads: int) -> list[tuple[int, Sequence[int], int]]:
+def _enumerate_brute(n: int, threads: int) -> list:
     """The leaves (mask, y, den) of the vertex subsets that
-    :func:`_separation` separates, in (cardinality, mask) order.  One
-    :func:`parallel_map` decides the masks below total / 2: full =
-    total - 1 is odd, so they are the lesser of each mask and its
-    complement full ^ mask, whose leaf is (full ^ mask, -y, den)."""
-    total = 1 << (1 << n)
-    leaves = []
-    for mask, witness in enumerate(parallel_map(
-            partial(_separation, n=n), range(total // 2), threads)):
-        if witness is not None:
-            y, den = witness
-            leaves += [(mask, y, den),
-                       ((total - 1) ^ mask, [-x for x in y], den)]
+    :func:`_separation` separates: one :func:`parallel_map` decides the
+    masks below 2^(2^n - 1), the lesser of each mask and its complement."""
+    return _with_complements(n, [
+        (mask, *witness) for mask, witness in enumerate(parallel_map(
+            partial(_separation, n=n), range(1 << (1 << n) - 1), threads))
+        if witness is not None])
+
+
+def _with_complements(n: int, leaves: list) -> list:
+    """``leaves`` (mask, y, den) and the leaf (full ^ mask, -y, den) of
+    each complement, in (cardinality, mask) order: the negated witness
+    has the negated margins, none zero."""
+    full = (1 << (1 << n)) - 1
+    leaves += [(full ^ mask, [-x for x in y], den) for mask, y, den in leaves]
     leaves.sort(key=lambda leaf: (leaf[0].bit_count(), leaf[0]))
     return leaves
 
@@ -298,32 +300,30 @@ def _enumerate_brute(n: int,
 SUBTREES_PER_WORKER = 16
 
 
-def _enumerate_arrangement(n: int,
-                           threads: int) -> list[tuple[int, list[int], int]]:
+def _enumerate_arrangement(n: int, threads: int) -> list:
     """Slicings as regions of the arrangement of vertex hyperplanes: the
     leaves (mask, y, den) of positive vertex mask and witness y / den.
 
     Hyperplanes live in R^(n+1) with coordinates (omega, c); vertex v
     contributes the hyperplane omega.v + c = 0.  Inserting them in index
     order grows a tree of regions (:func:`_children`), whose leaves at
-    k = 2^n are the slicings.  With more than one worker the top levels
-    are expanded in-process until there are ``SUBTREES_PER_WORKER``
-    subtrees per worker, and one :func:`parallel_map` call walks them
-    (:func:`_subtree`).  The leaves are sorted by (cardinality, mask), so
-    the output does not depend on the thread count.
+    k = 2^n are the slicings.  Only the root region where vertex 0 is
+    negative, one :func:`_split`, is walked; :func:`_with_complements`
+    adds the other half, sorted, so the output does not depend on the
+    thread count.  With more than one worker the top levels are expanded
+    in-process until there are ``SUBTREES_PER_WORKER`` subtrees per
+    worker, and one :func:`parallel_map` call walks them (:func:`_subtree`).
     """
-    regions = [(0, (0,) * (n + 1), 1, _Tableau(n + 1))]
-    k = 0
+    regions = [(0, *_split(n, 0, 0, _Tableau(n + 1)))]
+    k = 1
     count = workers(threads)
     wanted = 1 if count == 1 else SUBTREES_PER_WORKER * count
     while len(regions) < wanted and k < 1 << n:
         regions = [child for region in regions
                    for child in _children(n, k, region)]
         k += 1
-    leaves = [leaf for part in parallel_map(
-        _subtree, [(n, k, r) for r in regions], threads) for leaf in part]
-    leaves.sort(key=lambda leaf: (leaf[0].bit_count(), leaf[0]))
-    return leaves
+    return _with_complements(n, [leaf for part in parallel_map(
+        _subtree, [(n, k, r) for r in regions], threads) for leaf in part])
 
 
 def _subtree(args) -> list[tuple[int, list[int], int]]:

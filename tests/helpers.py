@@ -10,6 +10,7 @@ from random import Random
 from typing import Iterable, TextIO
 
 import trbm
+from trbm.codes import BinaryCode
 from trbm.cube import Slicing, subset_mask
 from trbm.linalg import Matrix
 from trbm.rbmstats import ExpParams, MixtureParams
@@ -50,6 +51,20 @@ def slicing(n: int, positive: Iterable[int], omega, c) -> Slicing:
     return Slicing(n, subset_mask(positive),
                    tuple(x.numerator * (den // x.denominator)
                          for x in witness), den)
+
+
+def min_distance_pairs(code: BinaryCode) -> int:
+    """Minimum pairwise Hamming distance by comparing every pair: the
+    oracle of ``codes.min_distance``."""
+    words = code.sorted_words()
+    if len(words) < 2:
+        raise ValueError("minimum distance undefined for a singleton code")
+    best = code.n + 1
+    for i, a in enumerate(words[:-1]):
+        best = min(best, min((a ^ b).bit_count() for b in words[i + 1:]))
+        if best == 1:
+            return best
+    return best
 
 
 def count_builds(monkeypatch) -> list[int]:

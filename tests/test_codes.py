@@ -1,9 +1,11 @@
 import io
 from functools import reduce
 from operator import xor
+from random import Random
 
 import pytest
 
+from helpers import min_distance_pairs
 from trbm.codes import (BinaryCode, code_to_slicings, covering_radius,
                         covering_upper, exact_covering_size,
                         exact_packing_size, exact_small_values, hamming_code,
@@ -24,6 +26,64 @@ def test_min_distance_examples():
 def test_min_distance_singleton_undefined():
     with pytest.raises(ValueError):
         min_distance(BinaryCode(3, frozenset({0})))
+    for n in (0, 1):  # the lengths with one word
+        with pytest.raises(ValueError):
+            min_distance(BinaryCode(n, frozenset({0})))
+
+
+def linear_code(n, basis):
+    """The code of length n spanned by the words of ``basis``."""
+    words = {0}
+    for b in basis:
+        words |= {w ^ b for w in words}
+    return BinaryCode(n, frozenset(words))
+
+
+def agreeing_codes():
+    """Codes on which the ball search and the pair scan must agree: both
+    lengths with two words, two words at distance n, the Hamming and
+    even-weight codes, and seeded random and random linear codes."""
+    yield BinaryCode(1, frozenset({0, 1}))
+    for n in range(1, 13):
+        yield BinaryCode(n, frozenset({0, (1 << n) - 1}))
+        yield BinaryCode(n, frozenset({0b1 << (n - 1), (1 << n - 1) - 1}))
+    for ell in (2, 3, 4):
+        yield hamming_code(ell)
+    for n in (2, 8, 12):
+        yield linear_code(n, [1 | 1 << j for j in range(1, n)])
+    rng = Random(2701)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        size = rng.randint(2, min(1 << n, 300))
+        yield BinaryCode(n, frozenset(rng.sample(range(1 << n), size)))
+        yield linear_code(n, [rng.randrange(1, 1 << n)
+                              for _ in range(rng.randint(1, n))])
+
+
+def test_min_distance_matches_the_pair_scan():
+    distances = set()
+    for code in agreeing_codes():
+        if len(code.words) >= 2:
+            assert min_distance(code) == min_distance_pairs(code), code
+            distances.add(min_distance(code))
+    assert distances >= {1, 2, 3, 4, 12}
+
+
+def test_min_distance_flips_every_coordinate():
+    # a perfect code puts a word at distance 1 from one codeword only, so
+    # the ball search must flip coordinate j to find the pair
+    code = hamming_code(4)
+    word = max(code.words)
+    for j in range(code.n):
+        near = BinaryCode(code.n, code.words | {word ^ 1 << j})
+        assert min_distance(near) == 1
+
+
+def test_min_distance_of_the_even_weight_code_of_length_20():
+    # 2^19 words: the ball search finds distance 2 after 20 lookups per
+    # word, where the pair scan would compare 1.4e11 pairs
+    code = linear_code(20, [1 | 1 << j for j in range(1, 20)])
+    assert len(code.words) == 1 << 19 and min_distance(code) == 2
 
 
 def test_covering_radius_examples():

@@ -494,6 +494,24 @@ def test_is_slicing_recheck_covers_the_last_vertex(monkeypatch, n):
         is_slicing([v for v in all_vertices(n) if pos >> v & 1], n)
 
 
+def full_walk(n):
+    """The leaves of the whole arrangement, both sides of vertex 0
+    walked from the root region, in (cardinality, mask) order."""
+    root = (0, (0,) * (n + 1), 1, _Tableau(n + 1))
+    return sorted(cube._subtree((n, 0, root)),
+                  key=lambda leaf: (leaf[0].bit_count(), leaf[0]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_half_walk_and_complements_are_the_full_walk(n):
+    # the census walks the side of vertex 0 where it is negative and
+    # takes each other leaf from its complement; the walk of both sides
+    # must give the same leaves, witnesses and types included
+    whole = full_walk(n)
+    assert _enumerate_arrangement(n, 1) == whole
+    assert _enumerate_arrangement(n, 2) == whole
+
+
 def census_work(n):
     """The leaves of the n-cube census walk on one thread, and the LPs
     it solved, the infeasible ones and its pivots (``lp._pivot``)."""
@@ -517,18 +535,21 @@ def census_work(n):
 
 def test_census_solves_one_lp_per_leaf_and_none_is_infeasible():
     # count, don't assume: every split left after the parallelogram test
-    # has been feasible so far; the pivots pin the LP path
-    for n, leaves, pivots in ((1, 4, 4), (2, 14, 18), (3, 104, 170),
-                              (4, 1882, 3398)):
+    # has been feasible so far; the pivots pin the LP path.  Only the
+    # half with vertex 0 negative is walked, one LP per walked leaf
+    for n, leaves, pivots in ((1, 4, 2), (2, 14, 9), (3, 104, 85),
+                              (4, 1882, 1701)):
         assert census_work(n) == (
-            leaves, {"lps": leaves, "infeasible": 0, "pivots": pivots})
+            leaves, {"lps": leaves // 2, "infeasible": 0, "pivots": pivots})
 
 
 @pytest.mark.skipif(not os.environ.get("TRBM_ACCEPT_LONG"),
                     reason="long mode: set TRBM_ACCEPT_LONG=1")
 def test_census_of_the_5_cube_has_no_infeasible_lp():
+    # 47,296 LPs for the 47,286 walked leaves: ten witnesses lie on a
+    # later vertex hyperplane, which splits their region with two LPs
     assert census_work(5) == (
-        94572, {"lps": 94592, "infeasible": 0, "pivots": 172263})
+        94572, {"lps": 47296, "infeasible": 0, "pivots": 86217})
 
 
 def test_separation_certificate_is_rechecked():
@@ -557,13 +578,14 @@ def test_is_slicing_witnesses_are_those_of_solve_feasibility():
 
 def test_arrangement_witnesses_are_those_of_solve_feasibility(monkeypatch):
     # every split the census decides, refuted or solved, goes through
-    # _split; its witness must be that of the split's whole system, and
-    # each leaf (mask, y, den) must carry the witness of a split of its
-    # vertices 0..k and be the sign pattern of y at every vertex
+    # _split; its witness must be that of the split's whole system.  Each
+    # walked leaf (vertex 0 negative) must carry the witness of a split
+    # of its vertices 0..k, each other leaf be the negated leaf of its
+    # complement, and every leaf be the sign pattern of y at every
+    # vertex.  The walk of both sides is checked the same way, so every
+    # split it decides is checked too
     split = cube._split
     for n in (1, 2, 3):
-        found = {}
-
         def checked(n_, k, pos, lp):
             result = split(n_, k, pos, lp)
             witness = None if result is None else tuple(
@@ -576,11 +598,18 @@ def test_arrangement_witnesses_are_those_of_solve_feasibility(monkeypatch):
             return result
 
         monkeypatch.setattr(cube, "_split", checked)
-        census = _enumerate_arrangement(n, 1)
-        assert len(census) == (4, 14, 104)[n - 1]
-        for mask, y, den in census:
-            assert any(mask & side == pos
-                       for pos, side in found[tuple(y), den])
-            margins = affine_values(y[n], y[:n])
-            assert 0 not in margins and mask == subset_mask(
-                v for v, m in enumerate(margins) if m > 0)
+        full = (1 << (1 << n)) - 1
+        for walked in (0, 1):
+            found = {}
+            census = full_walk(n) if walked else _enumerate_arrangement(n, 1)
+            assert len(census) == (4, 14, 104)[n - 1]
+            leaves = {mask: (y, den) for mask, y, den in census}
+            for mask, y, den in census:
+                if walked or not mask & 1:
+                    assert any(mask & side == pos
+                               for pos, side in found[tuple(y), den])
+                else:
+                    assert leaves[full ^ mask] == ([-x for x in y], den)
+                margins = affine_values(y[n], y[:n])
+                assert 0 not in margins and mask == subset_mask(
+                    v for v, m in enumerate(margins) if m > 0)
