@@ -65,7 +65,7 @@ def _read(path: str, reader):
         return reader(fh)
 
 
-def _require(args, **fields):
+def _require(**fields):
     for flag, value in fields.items():
         if value is None:
             raise ValueError(
@@ -178,14 +178,14 @@ def cmd_codes(args) -> None:
                         min_distance, read_code, table_known_bounds,
                         varshamov_lower, write_code)
     if args.codes_op == "hamming":
-        _require(args, ell=args.ell)
+        _require(ell=args.ell)
         code = hamming_code(args.ell)
         _emit({"n": code.n, "size": len(code.words),
                "words": [format(w, f"0{code.n}b")
                          for w in code.sorted_words()]},
               args, partial(write_code, code))
     elif args.codes_op == "analyze":
-        _require(args, code=args.code)
+        _require(code=args.code)
         code = _read(args.code, read_code)
         radius = covering_radius(code)
         dist = min_distance(code) if len(code.words) >= 2 else None
@@ -195,7 +195,7 @@ def cmd_codes(args) -> None:
               f"n={code.n} size={len(code.words)} min_distance={dist} "
               f"covering_radius={radius}")
     elif args.codes_op == "bounds":
-        _require(args, n=args.n)
+        _require(n=args.n)
         if not 0 <= args.n <= BOUNDS_LIMIT:
             raise ValueError(f"bounds are printed for 0 <= n <= "
                              f"{BOUNDS_LIMIT}, got n={args.n}")
@@ -219,7 +219,7 @@ def cmd_codes(args) -> None:
               + "\nK2(n,1): "
               + " ".join(f"{k}:{v}" for k, v in sorted(table["K2"].items())))
     elif args.codes_op == "to-slicings":  # no JSON form: --json is ignored
-        _require(args, code=args.code)
+        _require(code=args.code)
         slicings = code_to_slicings(_read(args.code, read_code))
         _emit(None, args, partial(write_slicings, slicings))
 
@@ -236,12 +236,12 @@ def cmd_rbm(args) -> None:
                            max_flattening_rank, mixture_distribution,
                            read_distribution)
     if args.rbm_op == "joint":
-        _require(args, params=args.params)
+        _require(params=args.params)
         params = ExpParams.build(*_load_params(
             args.params, ("beta", 1), ("gamma", 1), ("omega", 2)))
         _emit_distribution(joint_distribution(params), args)
     elif args.rbm_op == "mixture":
-        _require(args, params=args.params)
+        _require(params=args.params)
         params = MixtureParams.build(*_load_params(
             args.params, ("lambda", 0), ("delta", 1), ("epsilon", 1)))
         _emit_distribution(mixture_distribution(params), args)
@@ -254,7 +254,7 @@ def cmd_rbm(args) -> None:
             acc = hadamard_product(acc, d)
         _emit_distribution(acc, args)
     else:
-        _require(args, dist=args.dist or None)
+        _require(dist=args.dist or None)
         dist = _read(args.dist[0], read_distribution)
         if args.rbm_op == "flatten-rank":
             r = max_flattening_rank(dist)
@@ -281,7 +281,7 @@ def cmd_tropvar(args) -> None:
     from . import polynomials as poly_mod
     from .tropical import read_tropical_point
     if args.tropvar_op == "minors":
-        _require(args, split=args.split)
+        _require(split=args.split)
         split = [int(x) for x in args.split.split(",")]
         minors = poly_mod.flattening_minors(args.n, split)
 
@@ -294,7 +294,7 @@ def cmd_tropvar(args) -> None:
                                   for m in minors]},
               args, write)
     elif args.tropvar_op == "initial-form":
-        _require(args, poly=args.poly, weights=args.weights)
+        _require(poly=args.poly, weights=args.weights)
         f = _read(args.poly,
                   lambda fh: poly_mod.read_polynomial(fh, args.n))
         form = poly_mod.initial_form(

@@ -309,12 +309,15 @@ def read_code(stream: TextIO) -> BinaryCode:
     if not header.startswith("n="):
         raise ValueError("code file must start with n=<length>")
     n = int(header[2:])
-    words = set()
-    for line in stream:
-        line = line.strip()
-        if line:
-            words.add(int(line, 2))
-    return BinaryCode(n, frozenset(words))
+    words = [w for w in map(str.strip, stream) if w]
+    bad = [w for w in words if w.strip("01")]
+    if not bad:
+        code = BinaryCode(n, frozenset(int(w, 2) for w in words))
+        # write_code writes the empty word (n = 0) as 0
+        bad = [w for w in words if len(w) != max(n, 1)]
+    if bad:
+        raise ValueError(f"codeword {bad[0]!r} is not {n} binary digits")
+    return code
 
 
 def shortened_hamming_code(n: int) -> BinaryCode:

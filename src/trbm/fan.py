@@ -168,46 +168,32 @@ def enumerate_triangulations_3cube() -> tuple[Triangulation, ...]:
 
     Candidates are the 58 affine bases of :func:`_lift_evaluators`, each
     with its divisor d as its volume in units of 1/6; partial selections
-    stay pairwise face-to-face and stop exactly at full volume.  Every
-    result is verified regular downstream.
+    stay pairwise face-to-face, in increasing index order.  Such
+    tetrahedra have disjoint interiors, so a selection never passes full
+    volume, and one that reaches it covers the cube.  Every result is
+    verified regular downstream.
     """
     tets = [frozenset(s) for s, _, _ in _lift_evaluators(N)]
     volumes = [d for _, d, _ in _lift_evaluators(N)]
     vertex_bits = [sum(1 << v for v in t) for t in tets]
     m = len(tets)
-    compat = [0] * m
+    later = [0] * m
     for i in range(m):
         for j in range(i + 1, m):
             if _meet_properly(vertex_bits[i], vertex_bits[j]):
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
+                later[i] |= 1 << j
     found: list[Triangulation] = []
 
-    def extend(chosen: list[int], allowed: int, covered: int, volume: int):
+    def extend(chosen: list[int], allowed: int, volume: int):
         if volume == VOLUME_UNITS:
             found.append(Triangulation(frozenset(tets[i] for i in chosen)))
             return
-        remaining = allowed
-        reach = covered
-        count = 0
-        while remaining:
-            low = remaining & -remaining
-            reach |= vertex_bits[low.bit_length() - 1]
-            count += 1
-            remaining &= remaining - 1
-        if reach != (1 << len(CUBE)) - 1 or volume + 2 * count < VOLUME_UNITS:
-            return
-        remaining = allowed
-        while remaining:
-            low = remaining & -remaining
-            i = low.bit_length() - 1
-            remaining &= remaining - 1
-            if volume + volumes[i] <= VOLUME_UNITS:
-                extend(chosen + [i],
-                       allowed & compat[i] & ~((1 << (i + 1)) - 1),
-                       covered | vertex_bits[i], volume + volumes[i])
+        while allowed:
+            i = (allowed & -allowed).bit_length() - 1
+            allowed &= allowed - 1
+            extend(chosen + [i], allowed & later[i], volume + volumes[i])
 
-    extend([], (1 << m) - 1, 0, 0)
+    extend([], (1 << m) - 1, 0)
     return tuple(found)
 
 
@@ -342,7 +328,7 @@ class SimplicialComplexData:
 
 
 @lru_cache(maxsize=1)
-def model_fan() -> tuple[tuple[FanFace, ...], dict]:
+def model_fan() -> tuple[FanFace, ...]:
     """Faces of the sphere whose relative interiors lie in the model.
 
     Membership of each face is decided at its relative interior point;
@@ -350,13 +336,8 @@ def model_fan() -> tuple[tuple[FanFace, ...], dict]:
     respect to the kept rays.
     """
     faces = [f for f in secondary_fan_faces() if f.quotient_dim >= 1]
-    kept: list[FanFace] = []
-    results = {}
-    for face in faces:
-        res = tropical_membership(TropicalPoint(N, face.point))
-        if res.member:
-            kept.append(face)
-            results[face.subdivision] = res
+    kept = [f for f in faces
+            if tropical_membership(TropicalPoint(N, f.point)).member]
     kept_keys = {f.subdivision for f in kept}
     for face in kept:
         for other in faces:
@@ -365,7 +346,7 @@ def model_fan() -> tuple[tuple[FanFace, ...], dict]:
                     and other.subdivision not in kept_keys:
                 raise AssertionError("model faces are not closed under "
                                      "taking faces")
-    return tuple(kept), results
+    return tuple(kept)
 
 
 def _ray_labels(rays: Sequence[FanFace]) -> list[str]:
@@ -394,16 +375,11 @@ def tm13_subcomplex() -> SimplicialComplexData:
     cuts (D); faces of each dimension are the kept sphere cells written
     on their incident rays.
     """
-    kept, _ = model_fan()
-    rays = [f for f in kept if f.quotient_dim == 1]
-    order = sorted(range(len(rays)),
-                   key=lambda i: sorted(sorted(c)
-                                        for c in rays[i].subdivision))
-    rays = [rays[i] for i in order]
-    labels = _ray_labels(rays)
-    relabel = sorted(range(len(labels)), key=lambda i: labels[i])
-    rays = [rays[i] for i in relabel]
-    labels = [labels[i] for i in relabel]
+    kept = model_fan()
+    rays = sorted((f for f in kept if f.quotient_dim == 1),
+                  key=lambda f: sorted(sorted(c) for c in f.subdivision))
+    labels, rays = zip(*sorted(zip(_ray_labels(rays), rays),
+                               key=lambda pair: pair[0]))
 
     faces_by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(4)]
     seen = set()
@@ -417,7 +393,7 @@ def tm13_subcomplex() -> SimplicialComplexData:
         seen.add(incident)
         faces_by_dim[face.quotient_dim - 1].append(incident)
     return SimplicialComplexData(
-        tuple(labels),
+        labels,
         tuple(tuple(sorted(fs)) for fs in faces_by_dim))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Sequence, TextIO
 
 from .linalg import Matrix, qtuple, rank
@@ -95,6 +96,15 @@ class Distribution:
         return cls(n, tuple(Q(x) / total for x in weights))
 
 
+def _products(factors: Sequence[tuple]) -> list[Fraction]:
+    """The products ``prod_j factors[j][v_j]`` at every vertex v, in index
+    order: the product analogue of :func:`cube.affine_values`."""
+    values = [Q(1)]
+    for off, on in reversed(factors):
+        values = [x * off for x in values] + [x * on for x in values]
+    return values
+
+
 def joint_distribution(params: ExpParams) -> Distribution:
     """Visible distribution of the model, by the factored product formula.
 
@@ -106,20 +116,10 @@ def joint_distribution(params: ExpParams) -> Distribution:
     if n + k > JOINT_LIMIT:
         raise ValueError(f"n={n}, k={k}: the summed check adds 2^{n + k} "
                          f"terms; n + k <= {JOINT_LIMIT} is supported")
-    factored = []
-    for v in all_vertices(n):
-        coords = vertex_coords(v, n)
-        value = Q(1)
-        for j in range(n):
-            if coords[j]:
-                value *= params.beta[j]
-        for i in range(k):
-            mono = params.gamma[i]
-            for j in range(n):
-                if coords[j]:
-                    mono *= params.omega[i][j]
-            value *= 1 + mono
-        factored.append(value)
+    factored = _products([(1, b) for b in params.beta])
+    for g, row in zip(params.gamma, params.omega):
+        factored = [x * (1 + g * m) for x, m in
+                    zip(factored, _products([(1, w) for w in row]))]
     raw = _raw_visible_weights(params)
     if [x / sum(factored) for x in factored] != [x / sum(raw) for x in raw]:
         raise AssertionError("factored and summed forms disagree")
@@ -154,15 +154,10 @@ def mixture_distribution(params: MixtureParams) -> Distribution:
     if params.n > JOINT_LIMIT:
         raise ValueError(f"a mixture lists 2^n values: n <= {JOINT_LIMIT} "
                          f"is supported, got n={params.n}")
-    values = []
-    for v in all_vertices(params.n):
-        coords = vertex_coords(v, params.n)
-        a, b = params.lam, 1 - params.lam
-        for j, bit in enumerate(coords):
-            a *= (1 - params.delta[j]) if bit else params.delta[j]
-            b *= (1 - params.epsilon[j]) if bit else params.epsilon[j]
-        values.append(a + b)
-    return Distribution(params.n, tuple(values))
+    a = _products([(d, 1 - d) for d in params.delta])
+    b = _products([(e, 1 - e) for e in params.epsilon])
+    return Distribution(params.n, tuple(params.lam * x + (1 - params.lam) * y
+                                        for x, y in zip(a, b)))
 
 
 def reparameterize(params: MixtureParams) -> ExpParams:
@@ -257,25 +252,21 @@ def max_flattening_rank(p: Distribution) -> int:
     return max(rank(flattening(p, a)) for a in splits(p.n))
 
 
-def marginal_one(p: Distribution, i: int) -> Fraction:
-    """P(X_i = 1)."""
-    return sum((p.p[v] for v in all_vertices(p.n)
-                if vertex_coords(v, p.n)[i - 1]), Q(0))
-
-
-def marginal_two(p: Distribution, i: int, j: int) -> Fraction:
-    """P(X_i = 1, X_j = 1)."""
-    return sum((p.p[v] for v in all_vertices(p.n)
-                if vertex_coords(v, p.n)[i - 1]
-                and vertex_coords(v, p.n)[j - 1]), Q(0))
-
-
 def covariance_matrix(p: Distribution) -> Matrix:
-    """Exact covariances of the coordinate indicators."""
+    """Exact covariances of the coordinate indicators: with p = w / s, w
+    integers and s = sum(w), and m_ij the weight where x_i = x_j = 1,
+    cov(x_i, x_j) = (s m_ij - m_ii m_jj) / s^2, every m from one pass."""
     n = p.n
-    e = [marginal_one(p, i) for i in range(1, n + 1)]
-    return Matrix([[marginal_two(p, i, j) - e[i - 1] * e[j - 1]
-                    for j in range(1, n + 1)] for i in range(1, n + 1)])
+    s = lcm(*(x.denominator for x in p.p))
+    m = [[0] * n for _ in range(n)]
+    for v, x in enumerate(p.p):
+        w = x.numerator * (s // x.denominator)
+        ones = [i for i in range(n) if v >> (n - 1 - i) & 1]
+        for i in ones:
+            for j in ones:
+                m[i][j] += w
+    return Matrix([[Q(s * m[i][j] - m[i][i] * m[j][j], s * s)
+                    for j in range(n)] for i in range(n)])
 
 
 @dataclass(frozen=True)

@@ -874,6 +874,16 @@ def test_codes_bounds_at_the_ends_of_its_range(capsys):
     pytest.param(["codes", "to-slicings", "--code", "c.txt"],
                  {"c.txt": "n=-1\n0\n"},
                  "code length needs n >= 0, got n=-1", id="code-negative-n"),
+    pytest.param(["codes", "analyze", "--code", "c.txt"],
+                 {"c.txt": "n=3\n0111\n"},
+                 "codeword '0111' is not 3 binary digits", id="code-4-digits"),
+    pytest.param(["codes", "analyze", "--code", "c.txt"],
+                 {"c.txt": "n=3\n000\n1\n"},
+                 "codeword '1' is not 3 binary digits", id="code-1-digit"),
+    pytest.param(["codes", "analyze", "--code", "c.txt"],
+                 {"c.txt": "n=3\n1_0\n"},
+                 "codeword '1_0' is not 3 binary digits",
+                 id="code-underscore"),
 ])
 def test_outside_input_is_refused_in_one_line(argv, files, message, tmp_path,
                                               monkeypatch, capsys):

@@ -189,11 +189,13 @@ def test_table_rows():
 
 
 def test_code_file_roundtrip():
-    buf = io.StringIO()
-    write_code(hamming_code(3), buf)
-    buf.seek(0)
-    back = read_code(buf)
-    assert back.n == 7 and back.words == hamming_code(3).words
+    # length 0: the one word, the empty one, is written as 0
+    for code in (hamming_code(3), BinaryCode(0, frozenset({0})),
+                 BinaryCode(1, frozenset({0, 1}))):
+        buf = io.StringIO()
+        write_code(code, buf)
+        buf.seek(0)
+        assert read_code(buf) == code
 
 
 def test_shortened_hamming_keeps_distance():

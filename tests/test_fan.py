@@ -16,7 +16,8 @@ from trbm.fan import (CUBE, N, SimplicialComplexData,
                       complex_to_json, triangulation_lines)
 from trbm.linalg import Matrix, integer_kernel, qtuple, rank, solve
 from trbm.lp import LinearSystem, solve_feasibility
-from trbm.tropical import TropicalPoint, TropParams, tropical_morphism
+from trbm.tropical import (TropicalPoint, TropParams, tropical_membership,
+                           tropical_morphism)
 
 
 def tet_volume_units(cell) -> int:
@@ -200,10 +201,9 @@ def test_model_edge_census():
 
 def model_roundtrip_points() -> list[tuple[TropicalPoint, TropicalPoint]]:
     """Pairs (face point, image of the recovered parameters) for checking."""
-    kept, results = model_fan()
     pairs = []
-    for face in kept:
-        res = results[face.subdivision]
+    for face in model_fan():
+        res = tropical_membership(TropicalPoint(N, face.point))
         image = tropical_morphism(res.params())
         shifted = TropicalPoint.build(
             N, [x + res.shift for x in image.values])
@@ -225,8 +225,7 @@ def facet_orbit_is_single(complex_faces) -> bool:
 
 
 def model_facet_subdivisions() -> list[frozenset[frozenset[int]]]:
-    kept, _ = model_fan()
-    return [f.subdivision for f in kept if f.quotient_dim == 4]
+    return [f.subdivision for f in model_fan() if f.quotient_dim == 4]
 
 
 def test_model_facets_single_orbit():

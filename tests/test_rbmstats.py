@@ -1,6 +1,7 @@
 import io
 from fractions import Fraction as Q
 from itertools import combinations
+from math import lcm
 from random import Random
 
 import pytest
@@ -11,7 +12,7 @@ from trbm.linalg import rank
 from trbm.rbmstats import (Distribution, ExpParams, MixtureParams,
                            check_membership_necessary, covariance_matrix,
                            flattening, hadamard_product, joint_distribution,
-                           marginal_one, max_flattening_rank,
+                           max_flattening_rank,
                            mixture_distribution, read_distribution,
                            reparameterize, splits, stack)
 
@@ -100,7 +101,8 @@ def test_flattening_marginal_sums():
     d = joint_distribution(random_exp_params(3, 1, rng))
     f = flattening(d, [1])
     row_sums = [sum(row) for row in f.data]
-    assert row_sums[1] == marginal_one(d, 1)
+    assert row_sums[1] == sum(d.p[v] for v in all_vertices(3)
+                              if vertex_coords(v, 3)[0])
     assert row_sums[0] + row_sums[1] == 1
 
 
@@ -164,6 +166,33 @@ def test_covariance_equals_marginal_block_determinant():
         blocks[c[0]][c[1]] += d.p[v]
     det = blocks[0][0] * blocks[1][1] - blocks[0][1] * blocks[1][0]
     assert det == sigma[0, 1]
+
+
+def covariance_by_definition(d: Distribution) -> list[list[Q]]:
+    """sum_v p_v v_i v_j - E_i E_j, summed in Fractions vertex by vertex."""
+    coords = [vertex_coords(v, d.n) for v in all_vertices(d.n)]
+    e = [sum((x for x, c in zip(d.p, coords) if c[i]), Q(0))
+         for i in range(d.n)]
+    return [[sum((x for x, c in zip(d.p, coords) if c[i] and c[j]), Q(0))
+             - e[i] * e[j] for j in range(d.n)] for i in range(d.n)]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_covariance_matches_the_definition(n):
+    """Seeded distributions of entries 2^-n + e and 2^-n - e, shuffled,
+    with a different denominator for each pair's e: for n >= 2 no entry's
+    denominator is a multiple of all the others."""
+    rng = Random(31 + n)
+    for _ in range(4):
+        p = [Q(1, 1 << n)] * (1 << n)
+        for v in range(0, (1 << n) - 1, 2):
+            e = Q(rng.randint(1, 9), 10 * (v + 3) << n)
+            p[v], p[v + 1] = p[v] + e, p[v + 1] - e
+        rng.shuffle(p)
+        d = Distribution(n, tuple(p))
+        dens = [x.denominator for x in p]
+        assert n < 2 or max(dens) < lcm(*dens)
+        assert covariance_matrix(d).data == covariance_by_definition(d)
 
 
 def test_covariance_symmetry_and_binomials():
